@@ -18,8 +18,9 @@
 //     naming algorithms of Theorem 4;
 //   - the closed-form bounds of Theorems 1-7 as checkable functions;
 //   - executable adversaries for the lower-bound constructions and an
-//     exhaustive model checker for small configurations, serial or
-//     parallel (CheckOptions.Workers) with identical results.
+//     exhaustive model checker for small configurations: a serial
+//     depth-first search, or the DPOR engine, whose wave pass runs on
+//     CheckOptions.Workers goroutines with identical results.
 //
 // # Quick start
 //
@@ -403,8 +404,9 @@ type (
 	Violation    = check.Violation
 )
 
-// Explore exhaustively explores the interleavings of a small program,
-// serially or on CheckOptions.Workers parallel workers; see check.Explore.
+// Explore exhaustively explores the interleavings of a small program; see
+// check.Explore. CheckOptions.Workers parallelises only the DPOR
+// engine's wave pass.
 func Explore(build Builder, prop func(*Trace) error, opts CheckOptions) (CheckResult, error) {
 	return check.Explore(build, prop, opts)
 }

@@ -9,7 +9,7 @@
 //	cfccheck -n 3                 # n = 3 (slower)
 //	cfccheck -kind mutex          # only mutual exclusion
 //	cfccheck -kind naming -crash  # naming with crash injection
-//	cfccheck -workers 1           # serial exploration
+//	cfccheck -workers 1           # DPOR wave pass on one goroutine
 //	cfccheck -dpor=false          # static ample-set POR instead of DPOR
 //	cfccheck -dpor=false -por=false  # unreduced reference exploration
 //	cfccheck -sym=false           # DPOR without symmetry reduction
@@ -17,15 +17,16 @@
 //	cfccheck -pordiff             # three-way reduction differential gate
 //	cfccheck -serve :9401         # coordinate the portfolio over the fabric
 //	cfccheck -join host:9401      # join a coordinator as a worker
-//	cfccheck -serve :9401 -shards 2              # shard explorations too
+//	cfccheck -serve :9401 -shards 2              # DPOR jobs as distributed waves
 //
 // The job list is the fleet's workload registry (internal/fleet): the
 // same named programs cmd/cfcfleet storms at n = 16-64 are proved here
 // exhaustively at small n, including the mixed mutex+naming workloads.
 //
-// -workers selects the explorer parallelism per job (default: all
-// cores). Explorations report identical states, runs and verdicts at
-// any worker count; see check.Options.Workers.
+// -workers sets the goroutines of the DPOR engine's wave-expansion pass
+// per job (default: all cores). Explorations report identical states,
+// runs and verdicts at any worker count; the -dpor=false engines always
+// explore serially. See check.Options.Workers.
 //
 // -dpor (default on) selects dynamic partial-order reduction
 // (source-DPOR, check/dpor.go) with pid-symmetry canonicalisation of
@@ -44,11 +45,10 @@
 // fabric (internal/fabric): the coordinator owns the job queue, workers
 // pull jobs over TCP, and the merged rows are byte-identical to the
 // single-process output (plus one FABRIC-SUMMARY trailer line). With
-// -shards > 1 every job is split across all connected workers: non-DPOR
-// jobs as prefix-local frontier probes (descent chains riding each
-// worker's live replay session), DPOR jobs as distributed expansion
-// waves whose serial commit stays at the coordinator. The summary line
-// reports the locality counters (events_replayed/events_saved — the
+// -shards > 1 every DPOR job is split across all connected workers as
+// distributed expansion waves whose serial commit stays at the
+// coordinator; every other job still travels whole. The summary line
+// reports the wave locality counters (events_replayed/events_saved — the
 // saved column is replay work a root-replaying prober would have done).
 // Job flags (-n, -kind, -depth, ...) are the coordinator's; workers
 // need none.
@@ -86,7 +86,7 @@ func run() int {
 		crash    = flag.Bool("crash", false, "inject crashes (naming and detection)")
 		depth    = flag.Int("depth", 120, "schedule depth bound")
 		states   = flag.Int("states", 1<<19, "state budget")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel explorer workers per job (1 = serial)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "DPOR wave-expansion goroutines per job (the -dpor=false engines always explore serially)")
 		collapse = flag.Bool("collapse", true, "collapse pure spin-wait cycles into one state (-collapse=false explores the raw transition graph)")
 		por      = flag.Bool("por", true, "with -dpor=false: static partial-order reduction (-por=false = unreduced reference mode)")
 		porauto  = flag.Bool("porauto", true, "with -dpor=false: fall back to the unreduced exploration when the static reduction is unprofitable")
@@ -97,7 +97,7 @@ func run() int {
 
 		serve      = flag.String("serve", "", "coordinate the portfolio over the distributed fabric, listening at this TCP address")
 		join       = flag.String("join", "", "join a fabric coordinator at this TCP address as a worker")
-		shards     = flag.Int("shards", 0, "with -serve: >1 shards every job across the workers (frontier subtrees; DPOR jobs as expansion waves)")
+		shards     = flag.Int("shards", 0, "with -serve: >1 runs every DPOR job as expansion waves across the workers (other jobs travel whole)")
 		jobtimeout = flag.Duration("jobtimeout", 5*time.Minute, "with -serve: abandon (DEGRADED) a job not completed this long after dispatch (0 = never)")
 	)
 	flag.Parse()
@@ -208,7 +208,7 @@ func printResult(name string, opts check.Options, res check.Result) (failed bool
 }
 
 // fleetRegistry is the fabric's shared job namespace: both the
-// coordinator (for witness re-verification and sharded exploration) and
+// coordinator (for witness re-verification and distributed waves) and
 // the workers resolve job names through the same fleet registry.
 func fleetRegistry(name string, n int) (check.Builder, check.Property, bool) {
 	w, ok := fleet.ByName(name, n)
@@ -253,17 +253,17 @@ func runServe(jobs []job, addr string, shards int, jobTimeout time.Duration) int
 	if stats.WallMs > 0 {
 		jobsPerS = float64(len(jobs)) / wallS
 	}
-	// events_saved counts replay work the probers' live sessions skipped;
-	// a root-replaying prober (no persistent session) would have executed
-	// events_replayed+events_saved events, so locality_ratio is the
-	// prefix-locality win of this run.
+	// events_saved counts replay work the wave probers' live sessions
+	// skipped; a root-replaying prober (no persistent session) would have
+	// executed events_replayed+events_saved events, so locality_ratio is
+	// the prefix-locality win of this run.
 	locality := 1.0
 	if stats.EventsReplayed > 0 {
 		locality = float64(stats.EventsReplayed+stats.EventsSaved) / float64(stats.EventsReplayed)
 	}
-	fmt.Printf("FABRIC-SUMMARY jobs=%d failed=%d workers=%d shards=%d probes=%d wave_tasks=%d "+
+	fmt.Printf("FABRIC-SUMMARY jobs=%d failed=%d workers=%d shards=%d wave_tasks=%d "+
 		"events_replayed=%d events_saved=%d locality_ratio=%.2f wall_ms=%d jobs_per_s=%.2f\n",
-		len(jobs), failed, stats.Workers, shards, stats.Probes, stats.WaveTasks,
+		len(jobs), failed, stats.Workers, shards, stats.WaveTasks,
 		stats.EventsReplayed, stats.EventsSaved, locality, stats.WallMs, jobsPerS)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "cfccheck: %d job(s) failed\n", failed)

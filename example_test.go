@@ -40,8 +40,9 @@ func ExampleRun() {
 // ExampleExplore model-checks a tiny program exhaustively: two processes
 // each perform a single write, so there are exactly two maximal
 // interleavings and three non-terminal states (the initial state and one
-// per first writer). Workers: 2 runs the parallel explorer; completed
-// explorations report identical results at any worker count.
+// per first writer). This is the unreduced reference engine, which
+// always explores serially; CheckOptions.Workers parallelises only the
+// DPOR engine, with identical results at any worker count.
 func ExampleExplore() {
 	build := func() (*cfc.Memory, []cfc.ProcFunc, error) {
 		mem := cfc.NewMemory(cfc.AtomicRegisters)
@@ -53,7 +54,6 @@ func ExampleExplore() {
 	// cfc.CheckMutualExclusion, cfc.CheckUniqueOutputs, ...
 	res, err := cfc.Explore(build, cfc.CheckMutualExclusion, cfc.CheckOptions{
 		MaxDepth: 20,
-		Workers:  2,
 	})
 	if err != nil {
 		fmt.Println("explore failed:", err)

@@ -9,22 +9,22 @@ import (
 // Property is a safety predicate over a (partial) run: it must return an
 // error if any state of the trace violates the property. The metrics
 // package's CheckMutualExclusion, CheckUniqueOutputs and CheckDetection
-// are Properties. In parallel explorations the property is called
-// concurrently from worker goroutines (each on its own trace), so it must
-// not keep mutable state between calls — a pure function of the trace,
-// which all three metrics properties are.
+// are Properties. The DPOR engine's wave pass (Options.Workers > 1) calls
+// the property concurrently from several goroutines, each on its own
+// trace, so it must not keep mutable state between calls — a pure
+// function of the trace, which all three metrics properties are.
 type Property func(t *sim.Trace) error
 
 // Builder constructs the memory and process bodies of the program under
 // check. It must be deterministic: every call must produce an identical
 // program. The serial explorer calls it once and replays that one program
-// for every schedule; the parallel explorer calls it once per worker, so
-// each worker replays a private instance (plus once more to canonicalise
-// a counterexample, see Options.Workers). Builder calls are never
-// concurrent, but distinct instances are driven concurrently, so
-// instances must not share mutable state through package-level variables
-// — which holds for every algorithm body in this repository, all of which
-// are pure functions of the values their shared-memory operations return.
+// for every schedule; the DPOR engine calls it once per wave-pass
+// goroutine (see Options.Workers), so each goroutine replays a private
+// instance. Builder calls are never concurrent, but distinct instances
+// are driven concurrently, so instances must not share mutable state
+// through package-level variables — which holds for every algorithm body
+// in this repository, all of which are pure functions of the values
+// their shared-memory operations return.
 type Builder func() (*sim.Memory, []sim.ProcFunc, error)
 
 // Options configures an exploration.
@@ -52,8 +52,8 @@ type Options struct {
 	// chains of deadlock-free mutex algorithms into finitely many
 	// states, and because the reduction is applied online (it commutes
 	// with extending the history by one event), state identity is a pure
-	// function of the program: serial and parallel exploration prune
-	// identically.
+	// function of the program, independent of the order in which states
+	// are discovered.
 	//
 	// The reduction is sound only for algorithms whose busy-wait loops
 	// carry no loop-local state (no iteration counters, no accumulated
@@ -83,7 +83,7 @@ type Options struct {
 	// unit of work the reduced search actually performs — and Runs counts
 	// the maximal schedules of the reduced tree, so both are expected to
 	// be (much) smaller than the reference exploration's; they remain
-	// deterministic and identical between serial and parallel explorers.
+	// deterministic.
 	// Reduction requires at most 64 processes (sleep sets are pid
 	// bitmasks); wider programs silently fall back to the full provider.
 	POR bool
@@ -134,23 +134,13 @@ type Options struct {
 	// (deterministic) reduced exploration, so PORAuto verdicts and counts
 	// are reproducible.
 	PORAuto bool
-	// Workers selects the explorer. 0 or 1 (the default) explores
-	// serially on the calling goroutine. A value above 1 runs that many
-	// workers, each owning a private program instance (one Builder call)
-	// and live session; subtree frontiers are distributed over per-worker
-	// deques with work stealing, and the visited set is shared (sharded).
-	//
-	// Results are deterministic and identical to serial exploration
-	// whenever the exploration is not truncated: the visited-state set is
-	// closed under the same transition relation regardless of visit
-	// order, so States, Runs, Truncated and the verdict all match. A
-	// truncated exploration (depth or state budget hit) depends on visit
-	// order in either mode and parallel counts may differ from serial
-	// ones. When a violation is found, the parallel explorer cancels its
-	// workers and re-runs the serial explorer, so the reported
-	// counterexample is always the canonical depth-first-minimal one —
-	// byte-identical to what Workers=1 reports (violating explorations
-	// therefore cost one parallel detection plus one serial rerun).
+	// Workers is the number of goroutines that run the DPOR engine's
+	// wave-expansion pass, each owning a private program instance (one
+	// Builder call) and live session; 0 means 1. Results are
+	// bit-identical at any count — counters, truncation and the
+	// reported witness — because the order-sensitive commit pass stays
+	// serial (see dpor.go). The reference and static-POR engines always
+	// explore serially and ignore Workers.
 	Workers int
 }
 
@@ -196,8 +186,7 @@ type Result struct {
 
 // Explore exhaustively explores the interleavings of the program under
 // the property. It returns an error only for configuration problems; a
-// property failure is reported in Result.Violation. Options.Workers
-// selects between the serial and the parallel explorer.
+// property failure is reported in Result.Violation.
 func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -213,13 +202,6 @@ func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	if opts.POR && opts.PORAuto {
 		return exploreAuto(build, prop, opts, maxDepth, maxStates)
 	}
-	return exploreDispatch(build, prop, opts, maxDepth, maxStates)
-}
-
-func exploreDispatch(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
-	if opts.Workers > 1 {
-		return exploreParallel(build, prop, opts, maxDepth, maxStates)
-	}
 	return exploreSerial(build, prop, opts, maxDepth, maxStates)
 }
 
@@ -227,24 +209,29 @@ func exploreDispatch(build Builder, prop Property, opts Options, maxDepth, maxSt
 // then — only when the reduction was unprofitable — the exhaustive
 // reference, keeping whichever visited fewer states.
 func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
-	por, err := exploreDispatch(build, prop, opts, maxDepth, maxStates)
+	por, err := exploreSerial(build, prop, opts, maxDepth, maxStates)
 	if err != nil {
 		return Result{}, err
 	}
 	// Violations are sound under POR, and a healthy reduction (at least a
 	// quarter of expanded nodes reduced) is kept without paying for the
-	// reference run. The decision and the pick are the exported helpers so
-	// distributed coordinators replicate them bit-for-bit (see shard.go).
-	if PORAutoKeepReduced(por) {
+	// reference run.
+	if por.Violation != nil || por.ReducedNodes*4 >= por.States {
 		return por, nil
 	}
 	ref := opts
 	ref.POR, ref.PORAuto = false, false
-	full, err := exploreDispatch(build, prop, ref, maxDepth, maxStates)
+	full, err := exploreSerial(build, prop, ref, maxDepth, maxStates)
 	if err != nil {
 		return Result{}, err
 	}
-	return PORAutoPick(por, full), nil
+	// The reference wins when it found a violation or visited fewer
+	// states.
+	if full.Violation != nil || full.States < por.States {
+		full.PORDisabled = true
+		return full, nil
+	}
+	return por, nil
 }
 
 // exploreSerial is the single-goroutine depth-first explorer.
@@ -261,8 +248,8 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 	}
 	e.provider, e.por = newProvider(opts, len(e.core.procs))
 	// A panic in an algorithm body, property or provider surfaces as a
-	// checker error carrying the schedule prefix being expanded, mirroring
-	// the parallel explorer's containment (see parexplorer.chase).
+	// checker error carrying the schedule prefix being expanded, like the
+	// DPOR engine's containment (see dexplorer.runStage).
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -40,8 +40,7 @@
 // process's pending step commutes with every other live process's
 // pending step (and clears two dynamic footprint guards plus a cycle
 // proviso tied to the spin collapse), the node branches on that single
-// step; sleep sets then remove the remaining permutational duplicates,
-// travelling with stolen frontier nodes in the parallel explorer.
+// step; sleep sets then remove the remaining permutational duplicates.
 // Crash branches are never pruned.
 //
 // Reduced state counts are NOT comparable to -por=false counts: the
@@ -83,26 +82,19 @@
 // (lamport-fast, lamport-packed) fall under the scalarset restriction
 // and must not declare.
 //
-// The DPOR engine is wave-synchronised rather than work-stealing: each
-// tree level is expanded by a parallel pass of pure per-node work, then
-// a serial commit pass makes every order-sensitive decision (visited
-// arbitration, counters, backtrack joins, violation selection) in
-// deterministic task order. Results — including truncated ones and
-// counterexamples — are therefore bit-identical at any Workers count by
-// construction, with no serial re-run.
+// # Exploration paths
 //
-// # Serial and parallel exploration
-//
-// Options.Workers selects between two explorers over the same replay
-// core. The serial explorer (Workers <= 1) is a recursive depth-first
-// search on the calling goroutine. The parallel explorer runs a pool of
-// workers, each with a private program instance (one Builder call each)
-// and live session; subtree frontiers are distributed over per-worker
-// deques with work stealing, the visited set is sharded, and every
-// reachable state's subtree is expanded by exactly one worker. Completed
-// (non-truncated) explorations report identical States, Runs and
-// verdicts in both modes, and counterexamples are canonicalised to the
-// serial depth-first-first witness; see Options.Workers and the
-// commentary in parallel.go for why visit order cannot change the
-// result.
+// There are two. The reference and static-POR engines run on the serial
+// explorer: a recursive depth-first search on the calling goroutine,
+// with the sibling peek (check.go) skipping replays of already-visited
+// children. The DPOR engine is wave-synchronised: each tree level is
+// expanded by a pass of pure per-node work, then a serial commit pass
+// makes every order-sensitive decision (visited arbitration, counters,
+// backtrack joins, violation selection) in deterministic task order.
+// Options.Workers > 1 runs the expansion pass on that many goroutines,
+// each with a private program instance and live session; results —
+// including truncated ones and counterexamples — are bit-identical at
+// any Workers count by construction. The same split lets the fabric
+// (internal/fabric) run the expansion pass in other processes
+// (wave.go).
 package check

@@ -237,7 +237,7 @@ type dexplorer struct {
 	maxStates int
 	crashes   bool
 
-	visited   *shardedSet
+	visited   map[uint64]struct{} // touched only by the serial commit pass
 	runs      int
 	reduced   int
 	truncated bool
@@ -264,7 +264,7 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 		},
 		maxStates: maxStates,
 		crashes:   opts.ExploreCrashes,
-		visited:   newShardedSet(),
+		visited:   make(map[uint64]struct{}),
 		wave:      []dtask{{node: &dnode{entry: -1 << 20}, sched: []int{}}},
 	}
 }
@@ -273,7 +273,7 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 // serves every worker count: Workers <= 1 runs the same wave loop on
 // one worker, and explorations are bit-identical across counts —
 // including which violation is reported and where a budget truncates.
-// Programs wider than 64 processes fall back to the static dispatch
+// Programs wider than 64 processes fall back to the serial explorer
 // (pid bitmasks), mirroring newProvider's guard.
 func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
 	workers := opts.Workers
@@ -298,7 +298,7 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 	if nprocs > 64 {
 		fb := opts
 		fb.DPOR = false
-		return exploreDispatch(build, prop, fb, maxDepth, maxStates)
+		return exploreSerial(build, prop, fb, maxDepth, maxStates)
 	}
 	var sym *symCanon
 	if opts.Symmetry {
@@ -488,7 +488,7 @@ func (e *dexplorer) advance(stages []dstage) {
 // result summarises the exploration.
 func (e *dexplorer) result() Result {
 	return Result{
-		States:          e.visited.Len(),
+		States:          len(e.visited),
 		Runs:            e.runs,
 		Truncated:       e.truncated,
 		ReducedNodes:    e.reduced,
@@ -522,19 +522,19 @@ func (e *dexplorer) commitStage(st *dstage, next *[]dtask) {
 		e.childDone(node.parent, next)
 		return
 	}
-	added, full := e.visited.insert(st.rep.Key, e.maxStates)
-	if full {
-		e.truncated = true
-		e.childDone(node.parent, next)
-		return
-	}
-	if !added {
+	if _, seen := e.visited[st.rep.Key]; seen {
 		for _, dm := range st.rep.Comp {
 			registerMask(ancestorAt(node, dm.Depth), dm.Mask)
 		}
 		e.childDone(node.parent, next)
 		return
 	}
+	if len(e.visited) >= e.maxStates {
+		e.truncated = true
+		e.childDone(node.parent, next)
+		return
+	}
+	e.visited[st.rep.Key] = struct{}{}
 	node.pend = append(node.pend[:0], st.rep.Pend...)
 	node.live = st.rep.Live
 	node.accum = st.rep.Sleep
@@ -966,4 +966,31 @@ func (e *dexplorer) fail(err error) {
 	}
 	e.mu.Unlock()
 	e.cancel.Store(true)
+}
+
+func childSchedule(schedule []int, entry int) []int {
+	c := make([]int, len(schedule)+1)
+	copy(c, schedule)
+	c[len(schedule)] = entry
+	return c
+}
+
+// dfsLess orders schedules by serial depth-first visit order: prefixes
+// first, then by the first differing entry with steps (ascending pid)
+// before crashes (ascending pid).
+func dfsLess(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return entryKey(a[i]) < entryKey(b[i])
+		}
+	}
+	return len(a) < len(b)
+}
+
+// entryKey maps a schedule entry to its branch rank at a node.
+func entryKey(e int) int {
+	if e >= 0 {
+		return e
+	}
+	return 1<<30 + (-e - 1)
 }

@@ -20,7 +20,7 @@ func nilProp(*sim.Trace) error { return nil }
 // TestExplorerContainsBodyPanic explores a program whose body panics on
 // a reachable interleaving (pid 1 observes pid 0's write) and requires
 // Explore to return an error naming the schedule prefix — on both the
-// serial and the parallel explorer.
+// serial explorer and the DPOR engine's parallel wave pass.
 func TestExplorerContainsBodyPanic(t *testing.T) {
 	build := func() (*sim.Memory, []sim.ProcFunc, error) {
 		mem := sim.NewMemory(opset.AtomicRegisters)
@@ -35,13 +35,16 @@ func TestExplorerContainsBodyPanic(t *testing.T) {
 		}
 		return mem, procs, nil
 	}
-	for _, workers := range []int{1, 4} {
-		_, err := check.Explore(build, nilProp, check.Options{MaxDepth: 16, Workers: workers})
+	for _, opts := range []check.Options{
+		{MaxDepth: 16},
+		{MaxDepth: 16, DPOR: true, Workers: 4},
+	} {
+		_, err := check.Explore(build, nilProp, opts)
 		if err == nil {
-			t.Fatalf("workers=%d: Explore should report the body panic as an error", workers)
+			t.Fatalf("%+v: Explore should report the body panic as an error", opts)
 		}
 		if !strings.Contains(err.Error(), "panicked expanding schedule prefix") {
-			t.Fatalf("workers=%d: error should carry the schedule prefix, got: %v", workers, err)
+			t.Fatalf("%+v: error should carry the schedule prefix, got: %v", opts, err)
 		}
 	}
 }

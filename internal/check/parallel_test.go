@@ -1,17 +1,14 @@
 package check_test
 
-// Differential gate for the parallel explorer: on the full algorithm
-// portfolio (mutex, contention detection, naming; safe designs and the
-// recorded broken ones) the parallel explorer must report exactly what
-// the serial explorer reports — verdicts, counterexample schedules,
-// visited-state counts, run counts and truncation flags. Every
-// exploration here completes within its budgets, which is the regime
-// where parallel results are provably order-independent (see
-// Options.Workers).
+// Worker-count gates: on the full algorithm portfolio (mutex, contention
+// detection, naming; safe designs and the recorded broken ones) an
+// exploration with Workers > 1 must report exactly what Workers = 1
+// reports — verdicts, counterexample schedules, visited-state counts,
+// run counts and truncation flags. Only the DPOR engine runs goroutines
+// (its wave pass); the reference and static-POR engines must ignore
+// Workers altogether (see Options.Workers).
 
 import (
-	"os"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -25,21 +22,8 @@ import (
 	"cfc/internal/sim"
 )
 
-// exploreWorkers is the worker count the heavyweight tests in this
-// package explore with. It defaults to all available cores (1 on a
-// single-core machine, which selects the serial explorer) and is
-// overridden by the CFC_CHECK_WORKERS environment variable, which
-// scripts/bench.sh uses to time the serial-versus-parallel suite.
-func exploreWorkers() int {
-	if s := os.Getenv("CFC_CHECK_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// diffJob is one portfolio configuration explored by both explorers.
+// diffJob is one portfolio configuration explored at several worker
+// counts.
 type diffJob struct {
 	name  string
 	build check.Builder
@@ -158,8 +142,8 @@ func portfolioJobs(t *testing.T) []diffJob {
 	return jobs
 }
 
-// assertSameResult compares a parallel exploration result against the
-// serial reference field by field, including the counterexample.
+// assertSameResult compares a Workers > 1 exploration result against the
+// Workers = 1 reference field by field, including the counterexample.
 func assertSameResult(t *testing.T, serial, parallel check.Result, workers int) {
 	t.Helper()
 	if serial.States != parallel.States {
@@ -196,6 +180,8 @@ func assertSameResult(t *testing.T, serial, parallel check.Result, workers int) 
 	}
 }
 
+// TestParallelMatchesSerialPortfolio pins that the reference engine
+// ignores Workers: it always explores on the serial DFS.
 func TestParallelMatchesSerialPortfolio(t *testing.T) {
 	workerCounts := []int{2, 4}
 	if testing.Short() {
@@ -226,9 +212,10 @@ func TestParallelMatchesSerialPortfolio(t *testing.T) {
 	}
 }
 
-// TestParallelWitnessReplays verifies that the canonicalised parallel
-// counterexample reproduces the violation under a scripted scheduler,
-// exactly like the serial witness in TestCheckerFindsBrokenLock.
+// TestParallelWitnessReplays verifies that the counterexample of a DPOR
+// exploration with a parallel wave pass reproduces the violation under a
+// scripted scheduler, exactly like the serial witness in
+// TestCheckerFindsBrokenLock.
 func TestParallelWitnessReplays(t *testing.T) {
 	build := func() (*sim.Memory, []sim.ProcFunc, error) {
 		mem := sim.NewMemory(opset.AtomicRegisters)
@@ -239,13 +226,13 @@ func TestParallelWitnessReplays(t *testing.T) {
 		}, nil
 	}
 	res, err := check.Explore(build, metrics.CheckMutualExclusion, check.Options{
-		MaxDepth: 60, CollapseSpins: true, Workers: 4,
+		MaxDepth: 60, CollapseSpins: true, DPOR: true, Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violation == nil {
-		t.Fatal("parallel explorer missed the lost-update race")
+		t.Fatal("parallel wave pass missed the lost-update race")
 	}
 	mem, procs, err := build()
 	if err != nil {
@@ -260,9 +247,8 @@ func TestParallelWitnessReplays(t *testing.T) {
 	}
 }
 
-// TestParallelManyWorkersTinyProgram exercises the degenerate pool: more
-// workers than frontier nodes, so most workers park immediately and the
-// termination protocol must still shut the pool down.
+// TestParallelManyWorkersTinyProgram exercises the degenerate wave pass:
+// more workers than wave tasks, so most goroutines are never started.
 func TestParallelManyWorkersTinyProgram(t *testing.T) {
 	build := func() (*sim.Memory, []sim.ProcFunc, error) {
 		mem := sim.NewMemory(opset.AtomicRegisters)
@@ -271,11 +257,11 @@ func TestParallelManyWorkersTinyProgram(t *testing.T) {
 		return mem, []sim.ProcFunc{body, body}, nil
 	}
 	prop := func(*sim.Trace) error { return nil }
-	serial, err := check.Explore(build, prop, check.Options{MaxDepth: 20})
+	serial, err := check.Explore(build, prop, check.Options{MaxDepth: 20, DPOR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := check.Explore(build, prop, check.Options{MaxDepth: 20, Workers: 16})
+	par, err := check.Explore(build, prop, check.Options{MaxDepth: 20, DPOR: true, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +271,15 @@ func TestParallelManyWorkersTinyProgram(t *testing.T) {
 	}
 }
 
-// TestParallelRepeatedStability reruns one mid-size parallel exploration
-// several times: completed explorations must be bit-stable run to run.
+// TestParallelRepeatedStability reruns one mid-size DPOR exploration
+// with a parallel wave pass several times: completed explorations must
+// be bit-stable run to run.
 func TestParallelRepeatedStability(t *testing.T) {
 	alg := naming.TASScan{}
 	build := taskBuilder(alg.Model(), func(mem *sim.Memory) (driver.TaskRunner, error) {
 		return alg.New(mem, 3)
 	}, 3)
-	opts := check.Options{MaxDepth: 100, CollapseSpins: true, ExpectTermination: true, Workers: 4}
+	opts := check.Options{MaxDepth: 100, CollapseSpins: true, ExpectTermination: true, DPOR: true, Workers: 4}
 	first, err := check.Explore(build, metrics.CheckUniqueOutputs, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package check
 // Internal gate for the serial explorer's sibling batch peek: the peek
 // must actually fire (visited siblings skipped without a replay) and the
 // exploration it prunes must stay bit-identical — same States, Runs and
-// verdict — to the parallel explorer, which has no peek and therefore
-// replays every child the old way.
+// verdict — to a naive depth-first search with no peek, which replays
+// every child.
 
 import (
 	"testing"
@@ -61,19 +61,49 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 		t.Fatalf("unexpected violation: %v", e.violation)
 	}
 
-	// The unpeeked parallel explorer is the reference.
-	popts := opts
-	popts.Workers = 2
-	ref, err := exploreParallel(peekBuilder(3), prop, popts, e.maxDepth, e.maxStates)
-	if err != nil {
-		t.Fatal(err)
+	states, runs := naiveDFS(t, peekBuilder(3), opts.CollapseSpins, e.maxDepth)
+	if e.truncated {
+		t.Fatal("peeked exploration truncated")
 	}
-	if ref.Truncated || e.truncated {
-		t.Fatalf("truncated: serial=%v parallel=%v", e.truncated, ref.Truncated)
-	}
-	if len(e.visited) != ref.States || e.runs != ref.Runs {
+	if len(e.visited) != states || e.runs != runs {
 		t.Fatalf("peeked serial exploration diverged: states %d vs %d, runs %d vs %d",
-			len(e.visited), ref.States, e.runs, ref.Runs)
+			len(e.visited), states, e.runs, runs)
 	}
 	t.Logf("states=%d runs=%d peeked=%d", len(e.visited), e.runs, e.peeked)
+}
+
+// naiveDFS is the unpeeked reference: every child of every unvisited
+// state is replayed and hashed, branching on every live process.
+func naiveDFS(t *testing.T, build Builder, collapse bool, maxDepth int) (states, runs int) {
+	t.Helper()
+	var c replayCore
+	if err := c.init(build, maxDepth); err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	visited := make(map[uint64]struct{})
+	var dfs func(schedule []int)
+	dfs = func(schedule []int) {
+		tr, live, err := c.stateAt(schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live) == 0 {
+			runs++
+			return
+		}
+		if len(schedule) >= maxDepth {
+			t.Fatalf("naive reference truncated at %v", schedule)
+		}
+		h := c.stateHash(tr, collapse)
+		if _, seen := visited[h]; seen {
+			return
+		}
+		visited[h] = struct{}{}
+		for _, pid := range live {
+			dfs(childSchedule(schedule, pid))
+		}
+	}
+	dfs(nil)
+	return len(visited), runs
 }

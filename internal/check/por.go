@@ -8,9 +8,8 @@ import (
 )
 
 // This file is the partial-order-reduction layer of the explorer. Node
-// expansion — in both the serial DFS and the work-stealing parallel
-// explorer — asks an enabledProvider for the branch set instead of
-// enumerating every ready process itself:
+// expansion in the serial DFS asks an enabledProvider for the branch set
+// instead of enumerating every ready process itself:
 //
 //   - fullProvider reproduces the unreduced exploration exactly (one
 //     step branch per live process, then crash branches), and is what
@@ -56,11 +55,10 @@ import (
 // independent of every step on the path since, so re-exploring it here
 // would only re-derive a permutation. Branch i of a node puts branches
 // 1..i-1 to sleep in its child (filtered by independence with branch i),
-// stolen frontier nodes carry their sleep set with them, and the visited
-// set is keyed on (state, sleep) so that expansion decisions are a pure
-// function of the node — which is what keeps completed explorations
-// bit-identical between the serial and parallel explorers at any worker
-// count.
+// and the visited set is keyed on (state, sleep) so that expansion
+// decisions are a pure function of the node — which is what keeps
+// explorations independent of the order nodes are visited in (the DPOR
+// engine reuses the keying and visits wave by wave).
 //
 // # Cycle proviso
 //
@@ -97,8 +95,7 @@ type branch struct {
 }
 
 // enabledProvider computes the branch set of a node. Implementations are
-// stateless (scratch lives in the per-goroutine replayCore), so one
-// provider is shared by all workers of a parallel exploration.
+// stateless; scratch lives in the replayCore.
 //
 // branches must be called with the core's session positioned at the node
 // and — for porProvider — immediately after stateHash has digested the
@@ -288,8 +285,8 @@ func filterSleep(pend []sim.PendingOp, mask uint64, po sim.PendingOp) uint64 {
 // tas/ttas explorations past the unreduced reference and made PR 6's
 // PORAuto give up on them. On independence-heavy states nothing wakes
 // and the full reduction is kept. The result is a pure function of the
-// state and the incoming sleep set, so keying and expanding on it
-// preserves the serial/parallel bit-identical guarantee.
+// state and the incoming sleep set, so keying and expanding on it keeps
+// the exploration independent of visit order.
 //
 // Must be called with the session at the node, after stateHash for this
 // node (the progresses check reads its hist/vals scratch).

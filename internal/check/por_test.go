@@ -9,8 +9,7 @@ package check_test
 //     its witness schedule replays to a real violation;
 //   - the portfolio differential: POR-on and POR-off must agree on every
 //     verdict (with both witnesses replaying for the broken designs), and
-//     POR-on explorations must be bit-identical between the serial and
-//     the work-stealing parallel explorer at any worker count.
+//     POR-on explorations must ignore the worker count.
 
 import (
 	"testing"
@@ -224,11 +223,8 @@ func TestPORAgreesWithReferencePortfolio(t *testing.T) {
 	}
 }
 
-// TestPORParallelMatchesSerialPortfolio: with POR enabled, completed
-// explorations must stay bit-identical between the serial DFS and the
-// work-stealing parallel explorer — sleep sets travel with stolen
-// frontier nodes and nodes are keyed on (state, sleep), so visit order
-// cannot change the closure.
+// TestPORParallelMatchesSerialPortfolio pins that the static-POR engine
+// ignores Workers: it always explores on the serial DFS.
 func TestPORParallelMatchesSerialPortfolio(t *testing.T) {
 	workerCounts := []int{2, 4}
 	if testing.Short() {

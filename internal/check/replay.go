@@ -8,8 +8,8 @@ import (
 	"cfc/internal/sim"
 )
 
-// replayCore is the per-explorer (and, in parallel mode, per-worker)
-// replay state: one program instance (memory plus bodies, from a private
+// replayCore is the per-explorer (and, in the DPOR wave pass,
+// per-goroutine) replay state: one program instance (memory plus bodies, from a private
 // call of the Builder), one arena-backed live session, and the hashing
 // scratch. A core is confined to a single goroutine; parallelism comes
 // from running many cores, never from sharing one.
@@ -137,8 +137,7 @@ func (c *replayCore) stateAt(schedule []int) (*sim.Trace, []int, error) {
 		}
 	}
 	// live is allocated per node: it must survive recursion below the
-	// node (serial) or child generation (parallel), unlike the trace and
-	// the status scratch.
+	// node, unlike the trace and the status scratch.
 	live := make([]int, 0, len(c.procs))
 	for pid := 0; pid < len(c.procs); pid++ {
 		if c.procs[pid] != nil && c.status[pid] == 0 {
@@ -283,9 +282,9 @@ const maxSpinPeriod = 4
 // discovered in. A tail-only collapse lacks this: two merged arrivals
 // with different spin counts diverge again one event later (the spins
 // are no longer the tail), and which arrival's subtree gets expanded
-// then depends on discovery order — unobservable in a deterministic
-// depth-first search, but a result-changing race for the parallel
-// explorer.
+// then depends on discovery order — so the depth-first explorer and the
+// wave-ordered DPOR engine could disagree with their own reference
+// orders.
 func collapseSpins(h []histEntry) []histEntry {
 	out := h[:0] // in place: writes trail reads
 	for _, e := range h {
@@ -447,4 +446,38 @@ func (c *replayCore) histConflicts(pid int, acc opset.Acc, live []int) bool {
 		}
 	}
 	return false
+}
+
+// ReplaysToViolation replays a witness schedule (Decisions encoding:
+// entry pid steps pid, entry -pid-1 crashes it) through a session on a
+// fresh program instance and reports whether it reproduces a violation:
+// either the property rejects the trace, or — mirroring the explorers'
+// leaf check under Options.ExpectTermination — the replayed run is
+// maximal with a started process that neither terminated nor crashed.
+// It is the independent re-verification step the fabric coordinator
+// (and cfccheck -pordiff) runs on every witness that arrives over a wire
+// before trusting it.
+func ReplaysToViolation(build Builder, prop Property, opts Options, schedule []int) (bool, error) {
+	mem, procs, err := build()
+	if err != nil {
+		return false, err
+	}
+	sess, err := sim.StartSession(sim.Config{Mem: mem, Procs: procs, MaxSteps: len(schedule) + 1})
+	if err != nil {
+		return false, err
+	}
+	defer sess.Close()
+	if err := sess.Seek(schedule); err != nil {
+		return false, fmt.Errorf("witness schedule does not replay: %w", err)
+	}
+	tr := sess.Trace()
+	if prop(tr) != nil {
+		return true, nil
+	}
+	if opts.ExpectTermination && sess.Finished() {
+		if _, ok := unterminated(tr); ok {
+			return true, nil
+		}
+	}
+	return false, nil
 }

@@ -16,14 +16,33 @@ import (
 // serial commit pass, which never replays anything and so needs no
 // program instance beyond the one build used to size the engine.
 //
-// The contract mirrors shard.go's Prober/ShardMaster split, with one
-// difference forced by the engine: probes are independent, waves are
-// not. The master hands out the WHOLE current wave, the coordinator
-// chunks it over workers however it likes, and Commit requires exactly
-// one report per task in task order — a barrier per tree level. Any
-// chunking, any worker count and any report arrival order produce
-// byte-identical results, because Commit is the same serial code the
-// in-process engine runs and the reports it consumes are pure.
+// Waves are not independent: the master hands out the WHOLE current
+// wave, the coordinator chunks it over workers however it likes, and
+// Commit requires exactly one report per task in task order — a barrier
+// per tree level. Any chunking, any worker count and any report arrival
+// order produce byte-identical results, because Commit is the same
+// serial code the in-process engine runs and the reports it consumes
+// are pure.
+
+// Node is one wave task: the decision schedule reaching it
+// (Session.Decisions encoding — entry pid steps that process, entry
+// -pid-1 crashes it) plus the sleep mask it inherited. Nodes travel
+// between processes; all fields are plain wire data.
+type Node struct {
+	Schedule []int  `json:"s"`
+	Sleep    uint64 `json:"sleep,omitempty"`
+}
+
+// ProbeStats counts a wave prober's replay work. A prober that replayed
+// every task from the root would have executed Replayed+Saved events.
+type ProbeStats struct {
+	// Replayed is the number of schedule events actually re-executed.
+	Replayed int64
+	// Saved is the number of schedule events skipped because the live
+	// session's decision stack was already a prefix of the target
+	// (Session.Seek's in-place extension).
+	Saved int64
+}
 
 // DepthMask is one backtrack registration in wire shape: the
 // race-initials mask to register at the path ancestor at the given
@@ -80,7 +99,7 @@ type WaveMaster struct {
 // like the in-process engine's fallback boundary.
 func NewWaveMaster(build Builder, prop Property, opts Options) (*WaveMaster, error) {
 	if !opts.DPOR {
-		return nil, errors.New("check: wave distribution requires the DPOR engine; shard non-DPOR explorations with a ShardMaster")
+		return nil, errors.New("check: wave distribution requires the DPOR engine")
 	}
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -140,10 +159,9 @@ func (m *WaveMaster) Commit(reports []WaveReport) error {
 // Done reports the exploration is complete (the next wave is empty).
 func (m *WaveMaster) Done() bool { return len(m.e.wave) == 0 }
 
-// Result summarises the exploration. Unlike the ShardMaster, no serial
-// canonicalisation pass is needed: the commit pass already selects the
-// same (schedule-least at the first violating wave) witness the
-// in-process engine reports.
+// Result summarises the exploration. The commit pass already selects
+// the same (schedule-least at the first violating wave) witness the
+// in-process engine reports, so no canonicalisation pass is needed.
 func (m *WaveMaster) Result() Result { return m.e.result() }
 
 // WaveProber executes wave-task stages for one program: the worker side
@@ -162,7 +180,7 @@ type WaveProber struct {
 // expansion — and the program must match the WaveMaster's.
 func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, error) {
 	if !opts.DPOR {
-		return nil, errors.New("check: wave probing requires the DPOR engine; use a Prober for static-POR and reference explorations")
+		return nil, errors.New("check: wave probing requires the DPOR engine")
 	}
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -195,24 +213,20 @@ func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, err
 // Close releases the prober's live session.
 func (p *WaveProber) Close() { p.core.close() }
 
-// Stats returns the prober's cumulative replay accounting (Deduped is
-// always zero — wave tasks are never duplicates by construction: the
-// master dispatches each tree node once).
+// Stats returns the prober's cumulative replay accounting.
 func (p *WaveProber) Stats() ProbeStats { return p.stats }
 
 // ProbeWave runs the stage pass for one wave task: replay, race
 // analysis, property check, visited key, first batch, compensation —
 // dpor.go's pure per-task work, with panics contained as errors like
 // everywhere else in the checker. Consecutive tasks share their
-// longest common schedule prefix through the live session, exactly
-// like Prober.Probe.
+// longest common schedule prefix through the live session.
 func (p *WaveProber) ProbeWave(nd Node) (rep WaveReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("check: panicked expanding schedule prefix %v: %v", nd.Schedule, r)
 		}
 	}()
-	p.stats.Probes++
 	cost := p.core.seekCost(nd.Schedule)
 	p.stats.Replayed += int64(cost)
 	p.stats.Saved += int64(len(nd.Schedule) - cost)

@@ -37,8 +37,8 @@ type JobResult struct {
 	// and was abandoned: for a whole-entry job Res is empty, for a
 	// sharded one it holds the partial counters at abandonment.
 	Degraded bool
-	// Sharded reports the job ran as frontier subtrees across workers
-	// rather than as one whole-entry job.
+	// Sharded reports the job ran as distributed DPOR waves across
+	// workers rather than as one whole-entry job.
 	Sharded bool
 	// Ms is the job's wall-clock at the worker (whole-entry jobs) or
 	// the coordinator (sharded jobs).
@@ -50,15 +50,13 @@ type Stats struct {
 	// Workers counts distinct worker connections that completed the
 	// hello handshake.
 	Workers int
-	// Probes counts frontier nodes probed across all sharded passes.
-	Probes int
 	// WaveTasks counts DPOR wave tasks expanded across all distributed
 	// waves.
 	WaveTasks int
-	// EventsReplayed and EventsSaved sum the workers' replay accounting
-	// (check.ProbeStats): events actually re-executed positioning live
-	// sessions, and events skipped by prefix reuse. A root-replaying
-	// fabric would have executed Replayed+Saved.
+	// EventsReplayed and EventsSaved sum the workers' wave replay
+	// accounting (check.ProbeStats): events actually re-executed
+	// positioning live sessions, and events skipped by prefix reuse. A
+	// root-replaying fabric would have executed Replayed+Saved.
 	EventsReplayed int64
 	EventsSaved    int64
 	// WallMs is the whole run's wall-clock.
@@ -67,11 +65,11 @@ type Stats struct {
 
 // CoordOptions configures a Coordinate run.
 type CoordOptions struct {
-	// Shards > 1 enables state-space distribution: non-DPOR jobs run as
-	// frontier subtree probes across all connected workers, and DPOR
-	// jobs distribute each exploration wave's pure expansion pass while
-	// the serial commit stays here (see check.WaveMaster). The value is
-	// a mode switch, not a count — the sharding fans out to however many
+	// Shards > 1 enables state-space distribution for DPOR jobs: each
+	// exploration wave's pure expansion pass fans out across all
+	// connected workers while the serial commit stays here (see
+	// check.WaveMaster). Every other job still travels whole. The value
+	// is a mode switch, not a count — the waves fan out to however many
 	// workers are connected.
 	Shards int
 	// JobTimeout abandons a job (DEGRADED) that has not completed this
@@ -82,19 +80,19 @@ type CoordOptions struct {
 	Log io.Writer
 }
 
-// probeBatch is how many frontier nodes travel per probe message, and
-// probeWindow how many probe messages may be outstanding per worker —
+// waveChunk is how many wave tasks travel per wave message, and
+// waveWindow how many wave messages may be outstanding per worker —
 // enough to hide one round-trip behind computation without letting a
-// slow worker hoard frontier the others could drain.
+// slow worker hoard tasks the others could drain.
 const (
-	probeBatch  = 48
-	probeWindow = 2
+	waveChunk  = 48
+	waveWindow = 2
 )
 
 // Coordinate serves the job queue at addr until every job has a result,
 // then disconnects all workers and returns the merged results in
-// job-list order. It is the fabric's single point of truth: visited-set
-// arbitration for sharded jobs, violation re-verification, requeue on
+// job-list order. It is the fabric's single point of truth: the serial
+// wave commit for sharded jobs, violation re-verification, requeue on
 // worker loss and the timeout clock all live here, on one event loop.
 func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOptions) ([]JobResult, Stats, error) {
 	start := time.Now()
@@ -102,7 +100,6 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer ln.Close()
 
 	c := &coord{
 		reg:    reg,
@@ -111,8 +108,29 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 		closed: make(chan struct{}),
 		conns:  make(map[*conn]*workerState),
 	}
-	defer close(c.closed)
-	go c.acceptLoop(ln)
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		c.acceptLoop(ln)
+	}()
+	defer func() {
+		// A worker can connect after the event loop has ended: its
+		// connection is never read from the event channel, so close it
+		// here, once the accept loop can queue no more.
+		close(c.closed)
+		ln.Close()
+		<-accepting
+		for {
+			select {
+			case ev := <-c.events:
+				if ev.kind == evConn {
+					ev.c.close()
+				}
+			default:
+				return
+			}
+		}
+	}()
 
 	var tick <-chan time.Time
 	if co.JobTimeout > 0 {
@@ -129,13 +147,13 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 	}
 
 	// Whole-entry jobs run first, fanned out over the worker pool; then
-	// each sharded job in turn gets the whole pool to itself — as
-	// frontier probes (non-DPOR) or distributed waves (DPOR).
+	// each sharded (DPOR) job in turn gets the whole pool to itself as
+	// distributed waves.
 	results := make([]JobResult, len(jobs))
 	var whole, sharded []int
 	for i, j := range jobs {
 		results[i].Job = j
-		if co.Shards > 1 {
+		if co.Shards > 1 && j.Opts.DPOR {
 			sharded = append(sharded, i)
 		} else {
 			whole = append(whole, i)
@@ -144,7 +162,7 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 	c.runWhole(jobs, whole, results, tick)
 	for _, i := range sharded {
 		t0 := time.Now()
-		res, errStr, degraded := c.runSharded(jobs[i], tick)
+		res, errStr, degraded := c.runWaves(jobs[i], tick)
 		results[i].Res = res
 		results[i].Err = errStr
 		results[i].Degraded = degraded
@@ -153,7 +171,7 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 	}
 	c.shutdown()
 	return results, Stats{
-		Workers: c.workersSeen, Probes: c.probes, WaveTasks: c.waveTasks,
+		Workers: c.workersSeen, WaveTasks: c.waveTasks,
 		EventsReplayed: c.evReplayed, EventsSaved: c.evSaved,
 		WallMs: time.Since(start).Milliseconds(),
 	}, nil
@@ -178,21 +196,16 @@ const (
 // workerState is the coordinator's view of one connection.
 type workerState struct {
 	ready bool // hello completed
-	// slot is the worker's ShardMaster owner id (1-based; assigned at
-	// hello, never reused) — the affinity key that routes a subtree's
-	// descendants back to the prober holding its prefix.
-	slot int
 	// Whole-entry phase: the dispatched job (index into the job list,
 	// -1 when idle), its message id and its timeout deadline.
 	jobIdx   int
 	jobID    int
 	deadline time.Time
 	// Sharded phase: whether this worker holds the current shard open,
-	// the frontier nodes riding each outstanding probe message, and the
-	// wave-task ranges [lo, hi) riding each outstanding wave message.
-	shardOpen   bool
-	outstanding map[int][]check.Node
-	chunks      map[int][2]int
+	// and the wave-task ranges [lo, hi) riding each outstanding wave
+	// message.
+	shardOpen bool
+	chunks    map[int][2]int
 }
 
 type coord struct {
@@ -205,7 +218,6 @@ type coord struct {
 	nextID      int
 	shardSeq    int
 	workersSeen int
-	probes      int
 	waveTasks   int
 	evReplayed  int64
 	evSaved     int64
@@ -223,9 +235,12 @@ func (c *coord) acceptLoop(ln Listener) {
 		if err != nil {
 			return
 		}
-		cn := newConn(rwc, c.events, c.closed)
+		cn := newConn(rwc)
 		select {
 		case c.events <- event{kind: evConn, c: cn}:
+			// Frames are read only once the connection is queued, so the
+			// event loop admits it before it sees its hello.
+			go cn.read(c.events, c.closed)
 		case <-c.closed:
 			cn.close()
 			return
@@ -238,22 +253,14 @@ func (c *coord) admit(cn *conn) {
 	c.conns[cn] = &workerState{jobIdx: -1}
 }
 
-// drop forgets a connection and returns whatever work it held.
-func (c *coord) drop(cn *conn, requeueJob func(idx int), master *check.ShardMaster) {
+// drop forgets a connection and returns its whole-entry job, if any.
+func (c *coord) drop(cn *conn, requeueJob func(idx int)) {
 	w := c.conns[cn]
 	if w == nil {
 		return
 	}
 	if w.jobIdx >= 0 && requeueJob != nil {
 		requeueJob(w.jobIdx)
-	}
-	if master != nil && len(w.outstanding) > 0 {
-		n := 0
-		for _, nodes := range w.outstanding {
-			master.Requeue(nodes)
-			n += len(nodes)
-		}
-		c.logf("worker lost, %d frontier nodes requeued", n)
 	}
 	delete(c.conns, cn)
 	cn.close()
@@ -269,7 +276,6 @@ func (c *coord) hello(cn *conn, w *workerState, m *Msg) bool {
 	}
 	w.ready = true
 	c.workersSeen++
-	w.slot = c.workersSeen
 	c.logf("worker connected (%d live)", c.liveWorkers())
 	return true
 }
@@ -332,7 +338,7 @@ func (c *coord) runWhole(jobs []Job, idxs []int, results []JobResult, tick <-cha
 			case evConn:
 				c.admit(ev.c)
 			case evGone:
-				c.drop(ev.c, requeue, nil)
+				c.drop(ev.c, requeue)
 			case evMsg:
 				w := c.conns[ev.c]
 				if w == nil {
@@ -401,163 +407,11 @@ func (c *coord) verifyWitness(j Job, res check.Result) string {
 	return ""
 }
 
-// runSharded distributes one job's state-space exploration across all
-// workers: DPOR jobs as waves (runWaves), everything else as frontier
-// subtrees — including the PORAuto second pass when the options ask for
-// it, with any violation canonicalised by serial rerun — reproducing
-// exactly what the single-process Explore returns for the same options.
-func (c *coord) runSharded(j Job, tick <-chan time.Time) (check.Result, string, bool) {
-	if j.Opts.DPOR {
-		return c.runWaves(j, tick)
-	}
-	res, errStr, degraded := c.shardPass(j, j.Opts, tick)
-	if errStr != "" || degraded {
-		return res, errStr, degraded
-	}
-	if j.Opts.POR && j.Opts.PORAuto && !check.PORAutoKeepReduced(res) {
-		ref := j.Opts
-		ref.POR, ref.PORAuto = false, false
-		full, errStr, degraded := c.shardPass(j, ref, tick)
-		if errStr != "" || degraded {
-			return full, errStr, degraded
-		}
-		res = check.PORAutoPick(res, full)
-	}
-	return res, "", false
-}
-
-// shardPass drives one sharded exploration of j under opts to closure
-// (or violation, timeout, or unrecoverable error).
-func (c *coord) shardPass(j Job, opts check.Options, tick <-chan time.Time) (check.Result, string, bool) {
-	build, prop, ok := c.reg(j.Name, j.N)
-	if !ok {
-		return check.Result{}, fmt.Sprintf("unknown workload %q in local registry", j.Name), false
-	}
-	c.shardSeq++
-	sid := c.shardSeq
-	spec := &JobSpec{Name: j.Name, N: j.N, Opts: opts}
-	master := check.NewShardMaster(opts)
-	var deadline time.Time
-	if c.co.JobTimeout > 0 {
-		deadline = time.Now().Add(c.co.JobTimeout)
-	}
-
-	open := func(cn *conn, w *workerState) {
-		w.shardOpen = true
-		w.outstanding = make(map[int][]check.Node)
-		cn.send(&Msg{T: MsgShardOpen, Shard: sid, Job: spec})
-	}
-	for cn, w := range c.conns {
-		if w.ready {
-			open(cn, w)
-		}
-	}
-	closeAll := func() {
-		for cn, w := range c.conns {
-			if w.shardOpen {
-				cn.send(&Msg{T: MsgShardClose, Shard: sid})
-				w.shardOpen = false
-				w.outstanding = nil
-			}
-		}
-	}
-
-	for !master.Done() {
-		// Keep every open worker's probe window full. Next pops the
-		// worker's own subtree deque first (stealing when idle) and sorts
-		// the batch into DFS order, so consecutive probes extend the
-		// worker's live session instead of replaying from the root.
-		for cn, w := range c.conns {
-			if !w.shardOpen {
-				continue
-			}
-			for len(w.outstanding) < probeWindow {
-				nodes := master.Next(w.slot, probeBatch)
-				if len(nodes) == 0 {
-					break
-				}
-				c.nextID++
-				w.outstanding[c.nextID] = nodes
-				cn.send(&Msg{T: MsgProbe, ID: c.nextID, Shard: sid, Nodes: encodeNodes(nodes)})
-			}
-		}
-
-		select {
-		case ev := <-c.events:
-			switch ev.kind {
-			case evConn:
-				c.admit(ev.c)
-			case evGone:
-				c.drop(ev.c, nil, master)
-			case evMsg:
-				w := c.conns[ev.c]
-				if w == nil {
-					break
-				}
-				m := ev.msg
-				switch m.T {
-				case MsgHello:
-					// A worker joining mid-exploration is put to work
-					// immediately.
-					if c.hello(ev.c, w, m) {
-						open(ev.c, w)
-					}
-				case MsgProbed:
-					nodes, ok := w.outstanding[m.ID]
-					if !ok {
-						break // stale reply from a cancelled pass
-					}
-					if len(m.Reports) != len(nodes) {
-						c.logf("worker answered %d nodes with %d reports; dropping it", len(nodes), len(m.Reports))
-						c.drop(ev.c, nil, master)
-						break
-					}
-					delete(w.outstanding, m.ID)
-					c.probes += len(nodes)
-					c.evReplayed += m.Replayed
-					c.evSaved += m.Saved
-					for i, wire := range m.Reports {
-						chain := make([]check.ProbeReport, len(wire))
-						for j, rep := range wire {
-							chain[j] = rep.toCheck()
-						}
-						master.Report(w.slot, nodes[i], chain)
-					}
-				case MsgError:
-					closeAll()
-					return check.Result{}, fmt.Sprintf("worker error probing %s: %s", j.Name, m.Err), false
-				}
-			}
-		case <-tick:
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				c.logf("sharded job %s timed out after %s", j.Name, c.co.JobTimeout)
-				closeAll()
-				return master.Result(), "", true
-			}
-		}
-	}
-	closeAll()
-
-	res := master.Result()
-	if res.Violation != nil {
-		// Canonicalise exactly as the in-process parallel explorer does:
-		// the serial rerun reproduces the depth-first-minimal witness, so
-		// the verdict is independent of which shard tripped first.
-		canon, err := check.CanonicalResult(build, prop, opts, res)
-		if err != nil {
-			return check.Result{}, fmt.Sprintf("canonical serial rerun: %v", err), false
-		}
-		res = canon
-	}
-	return res, "", false
-}
-
 // runWaves runs one DPOR job as distributed waves: the WaveMaster (node
 // tree, visited set, serial commit pass) stays here, and each wave's
 // pure expansion pass fans out over the connected workers in contiguous
 // chunks — contiguous tasks are DFS siblings sharing schedule prefixes,
-// so a chunk rides a worker's live session the same way a sorted probe
-// batch does. Each wave is a barrier: all reports come home (requeued
+// so a chunk rides a worker's live session. Each wave is a barrier: all reports come home (requeued
 // from lost workers as needed — they are pure), then the commit runs,
 // so the result is byte-identical to the in-process engine at any
 // worker count by construction. Witnesses are still re-verified by
@@ -604,8 +458,8 @@ func (c *coord) runWaves(j Job, tick <-chan time.Time) (check.Result, string, bo
 		reports := make([]check.WaveReport, len(wave))
 		remaining := len(wave)
 		var pend [][2]int
-		for lo := 0; lo < len(wave); lo += probeBatch {
-			pend = append(pend, [2]int{lo, min(lo+probeBatch, len(wave))})
+		for lo := 0; lo < len(wave); lo += waveChunk {
+			pend = append(pend, [2]int{lo, min(lo+waveChunk, len(wave))})
 		}
 		for remaining > 0 {
 			// Keep every open worker's chunk window full.
@@ -613,7 +467,7 @@ func (c *coord) runWaves(j Job, tick <-chan time.Time) (check.Result, string, bo
 				if !w.shardOpen {
 					continue
 				}
-				for len(w.chunks) < probeWindow && len(pend) > 0 {
+				for len(w.chunks) < waveWindow && len(pend) > 0 {
 					ck := pend[0]
 					pend = pend[1:]
 					c.nextID++
@@ -636,7 +490,7 @@ func (c *coord) runWaves(j Job, tick <-chan time.Time) (check.Result, string, bo
 						}
 						c.logf("worker lost, %d wave tasks requeued", n)
 					}
-					c.drop(ev.c, nil, nil)
+					c.drop(ev.c, nil)
 				case evMsg:
 					w := c.conns[ev.c]
 					if w == nil {
@@ -661,7 +515,7 @@ func (c *coord) runWaves(j Job, tick <-chan time.Time) (check.Result, string, bo
 								pend = append(pend, rq)
 							}
 							w.chunks = nil
-							c.drop(ev.c, nil, nil)
+							c.drop(ev.c, nil)
 							break
 						}
 						delete(w.chunks, m.ID)
@@ -719,32 +573,16 @@ type conn struct {
 }
 
 // outQueue bounds a connection's send queue. The coordinator keeps at
-// most probeWindow probe frames plus a handful of control frames in
+// most waveWindow wave frames plus a handful of control frames in
 // flight per worker, far below this; a full queue therefore indicates a
 // wedged peer, and send's quit branch keeps even that from deadlocking
 // the loop once the connection is dropped.
 const outQueue = 256
 
-func newConn(rwc io.ReadWriteCloser, events chan event, closed chan struct{}) *conn {
+// newConn starts the connection's writer; the caller starts its reader
+// (read).
+func newConn(rwc io.ReadWriteCloser) *conn {
 	cn := &conn{rwc: rwc, out: make(chan *Msg, outQueue), quit: make(chan struct{})}
-	go func() { // reader
-		br := bufio.NewReaderSize(rwc, 64<<10)
-		for {
-			var m Msg
-			if err := ReadFrame(br, &m); err != nil {
-				select {
-				case events <- event{kind: evGone, c: cn, err: err}:
-				case <-closed:
-				}
-				return
-			}
-			select {
-			case events <- event{kind: evMsg, c: cn, msg: &m}:
-			case <-closed:
-				return
-			}
-		}
-	}()
 	go func() { // writer
 		for {
 			select {
@@ -763,6 +601,27 @@ func newConn(rwc io.ReadWriteCloser, events chan event, closed chan struct{}) *c
 		}
 	}()
 	return cn
+}
+
+// read turns the connection's frames into events until it fails or the
+// coordinator stops listening.
+func (cn *conn) read(events chan<- event, closed <-chan struct{}) {
+	br := bufio.NewReaderSize(cn.rwc, 64<<10)
+	for {
+		var m Msg
+		if err := ReadFrame(br, &m); err != nil {
+			select {
+			case events <- event{kind: evGone, c: cn, err: err}:
+			case <-closed:
+			}
+			return
+		}
+		select {
+		case events <- event{kind: evMsg, c: cn, msg: &m}:
+		case <-closed:
+			return
+		}
+	}
 }
 
 // send queues a frame; it never blocks longer than the connection lives.

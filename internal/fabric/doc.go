@@ -1,6 +1,6 @@
 // Package fabric is the distributed check fabric: a coordinator/worker
 // layer that spreads a cfccheck portfolio — and, for large
-// configurations, single explorations — across processes over a
+// configurations, single DPOR explorations — across processes over a
 // pluggable transport, with results bit-identical to the single-process
 // run.
 //
@@ -14,112 +14,70 @@
 // its outstanding work and any other worker (or the same one,
 // reconnected) re-executes it with an identical outcome.
 //
-// Work travels at three granularities:
+// Work travels at two granularities:
 //
 //   - Whole portfolio entries (JobSpec: workload name, process count,
 //     check.Options). The worker runs check.Explore exactly as the
 //     single-process cfccheck would and returns the Result. This is the
-//     path when sharding is off (Shards <= 1).
+//     path for every job when sharding is off (Shards <= 1), and for
+//     every non-DPOR job always.
 //
-//   - Frontier subtrees, for sharding one DFS exploration across
-//     machines. The coordinator runs a check.ShardMaster (the one
-//     visited set); workers hold a check.Prober per open shard and turn
-//     batches of frontier nodes — serialised decision-stack prefixes
-//     plus their sleep masks, executed via Session.Seek — into probe
-//     reports. This splits an exploration exactly the way the
-//     in-process work-stealer splits it across cores, except the
-//     visited-set arbitration stays at the coordinator, which is what
-//     keeps the merged counters exact.
-//
-//   - DPOR waves. The wave-synchronised DPOR engine is not
-//     frontier-shardable (sleep sets flow between siblings), so sharded
-//     DPOR jobs run as a BSP split instead: a check.WaveMaster at the
+//   - DPOR waves (Shards > 1, DPOR jobs). The wave-synchronised DPOR
+//     engine splits along its BSP seam: a check.WaveMaster at the
 //     coordinator owns the node tree, visited set and the serial commit
 //     pass, and each wave's pure expansion tasks fan out to workers
 //     (check.WaveProber) in contiguous chunks. Waves are barriers;
-//     reports are reassembled into task order before commit, which makes
-//     the result bit-identical at any worker count by induction over
-//     waves.
-//
-// # Locality
-//
-// Frontier scheduling is prefix-local so that worker probers — whose
-// sim sessions can extend but never rewind (any divergence is a restart
-// and full replay from the root) — mostly extend:
-//
-//   - Affinity: a node's children are routed to the deque of the worker
-//     that reported them, and each owner's batch is drained deepest-
-//     first in DFS order, so consecutive nodes share long schedule
-//     prefixes with the session the owner already holds.
-//
-//   - Descent chains: after probing an expandable node a prober
-//     immediately probes its first branch — a one-decision session
-//     extension — and repeats until a leaf, violation, truncation or
-//     dedup hit, returning the whole chain in one reply. The master
-//     replays the chain link by link against the authoritative visited
-//     set, reconstructing each link's node from its own parent copy (a
-//     report can never inject an underived node) and stopping at the
-//     first arbitration loss; non-first branches are enqueued to the
-//     owner's deque.
-//
-//   - Steal-on-idle: affinity is advisory. A worker with an empty deque
-//     steals from the unowned pool, then from other owners, so a
-//     stalled or lost worker never wedges the exploration.
-//
-// A worker's advisory dedup cache of reported state digests
-// short-circuits probes of states it already reported; the
-// coordinator's visited set stays authoritative, and a dedup reply the
-// master cannot arbitrate is re-dispatched with the cache bypassed
-// (Node.Full), which always makes progress. Probe replies carry
-// replayed/saved event deltas; cfccheck surfaces them in FABRIC-SUMMARY
-// as the locality ratio (baseline events over replayed events, where
-// the baseline is what root-replay-per-node would have executed).
+//     reports are reassembled into task order before commit, which
+//     makes the result bit-identical at any worker count by induction
+//     over waves. A chunk's tasks are siblings sharing long schedule
+//     prefixes, so each prober's live session mostly extends instead of
+//     replaying from the root; wave replies carry replayed/saved event
+//     deltas, which cfccheck surfaces in FABRIC-SUMMARY as the locality
+//     ratio (baseline events over replayed events, where the baseline is
+//     what root-replay-per-task would have executed).
 //
 // # Guarantees
 //
 // At any worker and shard count, portfolio verdicts, States, Runs,
 // Truncated and ReducedNodes equal the single-process run, and a
-// violating entry reports the identical canonical witness: whole-entry
-// results are the deterministic check.Explore output, sharded
-// explorations close the same visited set as the serial explorer (see
-// check/shard.go for the argument), and every violation is re-verified
-// at the coordinator — witnesses by serial replay (check.ReplaysToViolation),
-// sharded detections by a canonical serial rerun (check.CanonicalResult),
-// mirroring the in-process parallel explorer's contract. As in-process,
-// the counter guarantee is exact for explorations that complete within
-// their budgets; truncated counters are visit-order dependent in every
-// mode.
+// violating entry reports the identical witness: whole-entry results
+// are the deterministic check.Explore output, distributed waves commit
+// through the same serial code as the in-process engine, and every
+// violation is re-verified at the coordinator by serial replay
+// (check.ReplaysToViolation) before it is reported.
 //
 // Failure handling is by re-execution, never by trust: a disconnected
 // worker's jobs are re-queued; a malformed or oversized frame drops only
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v2)
+// # Wire format (protocol v3)
 //
 // Frames are 4-byte big-endian length prefixes followed by one JSON
 // object (Msg), at most MaxFrame bytes. JSON keeps the frames
-// inspectable and the uint64 sleep masks and hashes exact (Go decodes
+// inspectable and the uint64 sleep masks and keys exact (Go decodes
 // integer literals into uint64 without a float round-trip). The
 // Transport interface (Dial/Serve over an opaque address) carries the
 // byte stream: TCP for real deployments, an in-process pipe
 // (NewPipeTransport) for deterministic tests, leaving room for a
 // durable queue later.
 //
-// Protocol v2 adds, relative to v1:
+// The messages:
 //
-//   - probe/wave node batches are delta-encoded (WireNode): each node
-//     ships the length of the schedule prefix it shares with the
-//     batch's first node plus its own tail, which collapses the long
-//     shared prefixes DFS-sorted batches are built from;
+//   - hello (worker → coordinator) carries ProtoVersion; a mismatch is
+//     rejected at handshake, so older workers never see v3 frames;
 //
-//   - probe replies carry one descent chain ([]Report) per dispatched
-//     node instead of a single report, plus replayed/saved event
-//     deltas;
+//   - job/result (and error) carry whole-entry jobs;
 //
-//   - wave/waved frames (MsgWave, MsgWaved) carry DPOR wave chunks and
-//     their task-ordered reports for the BSP split.
+//   - shard-open/shard-close bracket one distributed DPOR job at each
+//     worker;
 //
-// Hello frames carry ProtoVersion; a version mismatch is rejected at
-// handshake, so v1 workers never see v2 frames.
+//   - wave/waved carry a chunk of wave tasks, delta-encoded (WireNode:
+//     each task ships the length of the schedule prefix it shares with
+//     the chunk's first task plus its own tail), and the chunk's
+//     task-ordered reports with replayed/saved event deltas;
+//
+//   - bye ends the session.
+//
+// Protocol v3 removed v2's frontier-probe frames (probe/probed).
 package fabric

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,11 +24,11 @@ func fleetRegistry(name string, n int) (check.Builder, check.Property, bool) {
 }
 
 // testJobs is a portfolio slice exercising every job shape: a DPOR entry
-// (sharded runs distribute its waves), static-POR entries (sharded runs
-// probe their frontiers), a PORAuto entry whose reduction is
-// unprofitable (tas hammers one bit, so the coordinator must run the
-// two-pass fallback), and a broken workload whose violation exercises
-// witness canonicalisation and re-verification.
+// (sharded runs distribute its waves), static-POR entries (which travel
+// whole even when sharding is on), a PORAuto entry whose reduction is
+// unprofitable (tas hammers one bit, so the worker runs the two-pass
+// fallback), and a broken workload whose violation exercises witness
+// re-verification.
 func testJobs() []fabric.Job {
 	base := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true}
 	por := base
@@ -92,27 +93,52 @@ func assertEqual(t *testing.T, name string, want, got check.Result) {
 	}
 }
 
+// servedTransport is the pipe transport, closing served once the
+// coordinator listens.
+type servedTransport struct {
+	*fabric.PipeTransport
+	served chan struct{}
+}
+
+func (st servedTransport) Serve(addr string) (fabric.Listener, error) {
+	defer close(st.served)
+	return st.PipeTransport.Serve(addr)
+}
+
 // coordinate runs a coordinator over the pipe transport with nWorkers
-// standard workers and returns its results.
+// standard workers and returns its results. The workers start once the
+// coordinator listens, so none of them misses a short run by sleeping
+// between dial retries.
 func coordinate(t *testing.T, jobs []fabric.Job, nWorkers int, co fabric.CoordOptions) ([]fabric.JobResult, fabric.Stats) {
 	t.Helper()
-	pt := fabric.NewPipeTransport()
+	st := servedTransport{fabric.NewPipeTransport(), make(chan struct{})}
+	type out struct {
+		results []fabric.JobResult
+		stats   fabric.Stats
+		err     error
+	}
+	done := make(chan out, 1)
+	go func() {
+		results, stats, err := fabric.Coordinate(st, "coord", jobs, fleetRegistry, co)
+		done <- out{results, stats, err}
+	}()
+	<-st.served
 	var wg sync.WaitGroup
 	for i := 0; i < nWorkers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := fabric.Work(pt, "coord", fleetRegistry, nil); err != nil {
+			if err := fabric.Work(st.PipeTransport, "coord", fleetRegistry, nil); err != nil {
 				t.Errorf("worker: %v", err)
 			}
 		}()
 	}
-	results, stats, err := fabric.Coordinate(pt, "coord", jobs, fleetRegistry, co)
-	if err != nil {
-		t.Fatalf("Coordinate: %v", err)
-	}
+	o := <-done
 	wg.Wait()
-	return results, stats
+	if o.err != nil {
+		t.Fatalf("Coordinate: %v", o.err)
+	}
+	return o.results, o.stats
 }
 
 // TestWholeJobsEqualSingleProcess is the fabric's core contract at the
@@ -139,20 +165,15 @@ func TestWholeJobsEqualSingleProcess(t *testing.T) {
 	}
 }
 
-// TestShardedJobsEqualSingleProcess is the contract at the fine
-// granularity: with sharding on, non-DPOR jobs run as subtree probes
-// and DPOR jobs as distributed waves across the workers — including the
-// PORAuto two-pass and violation canonicalisation — and still report
-// exactly the single-process result. The locality counters must show
-// the prefix machinery actually engaged: events saved by live-session
-// reuse on both prober kinds.
+// TestShardedJobsEqualSingleProcess is the contract with sharding on:
+// DPOR jobs run as distributed waves across the workers and every other
+// job travels whole, and all still report exactly the single-process
+// result. The locality counters must show the prefix machinery actually
+// engaged: events saved by live-session reuse.
 func TestShardedJobsEqualSingleProcess(t *testing.T) {
 	jobs := testJobs()
 	want := singleProcess(t, jobs)
 	results, stats := coordinate(t, jobs, 2, fabric.CoordOptions{Shards: 2})
-	if stats.Probes == 0 {
-		t.Errorf("sharded run probed no frontier nodes")
-	}
 	if stats.WaveTasks == 0 {
 		t.Errorf("sharded run expanded no wave tasks; DPOR job did not distribute")
 	}
@@ -164,8 +185,8 @@ func TestShardedJobsEqualSingleProcess(t *testing.T) {
 			t.Errorf("%s: %s", r.Job.Name, r.Err)
 			continue
 		}
-		if !r.Sharded {
-			t.Errorf("%s: sharded=%v, want true", r.Job.Name, r.Sharded)
+		if r.Sharded != r.Job.Opts.DPOR {
+			t.Errorf("%s: sharded=%v, want %v", r.Job.Name, r.Sharded, r.Job.Opts.DPOR)
 		}
 		assertEqual(t, r.Job.Name, want[i], r.Res)
 	}
@@ -209,14 +230,25 @@ func (r *rawConn) read() fabric.Msg {
 
 // TestWorkerDisconnectRequeues covers the worker-loss paths at both
 // granularities: a worker that takes work and vanishes mid-job costs
-// nothing — its whole-entry job and its outstanding frontier nodes are
+// nothing — its whole-entry job or its outstanding wave chunk is
 // re-queued, the run converges on the surviving worker, and the results
-// still equal the single process.
+// still equal the single process. The sharded case runs DPOR jobs only,
+// so the first work the flaky worker takes is a wave chunk.
 func TestWorkerDisconnectRequeues(t *testing.T) {
-	jobs := testJobs()
-	want := singleProcess(t, jobs)
-
-	for _, shards := range []int{0, 2} {
+	dpor := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true, DPOR: true}
+	for _, tc := range []struct {
+		shards int
+		jobs   []fabric.Job
+		lost   string // the message the flaky worker takes and drops
+	}{
+		{0, testJobs(), fabric.MsgJob},
+		{2, []fabric.Job{
+			{Name: "mutex/peterson-2p", N: 2, Opts: dpor},
+			{Name: "broken/racy-mutex", N: 2, Opts: dpor},
+		}, fabric.MsgWave},
+	} {
+		shards, jobs := tc.shards, tc.jobs
+		want := singleProcess(t, jobs)
 		pt := fabric.NewPipeTransport()
 		resCh := make(chan []fabric.JobResult, 1)
 		go func() {
@@ -228,13 +260,16 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 		}()
 
 		// The flaky worker handshakes, accepts its first piece of work —
-		// a whole-entry job, or (sharded phase) a probe batch or wave
-		// chunk — and drops the connection without answering.
+		// a whole-entry job or a wave chunk — and drops the connection
+		// without answering.
 		flaky := dialRaw(t, pt, "coord")
 		flaky.hello()
 		for {
 			m := flaky.read()
-			if m.T == fabric.MsgJob || m.T == fabric.MsgProbe || m.T == fabric.MsgWave {
+			if m.T == fabric.MsgJob || m.T == fabric.MsgWave {
+				if m.T != tc.lost {
+					t.Fatalf("shards=%d: flaky worker got %q first, want %q", shards, m.T, tc.lost)
+				}
 				break
 			}
 		}
@@ -386,4 +421,79 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	wg.Wait()
 	old.rwc.Close()
 	assertEqual(t, results[0].Job.Name, want[0], results[0].Res)
+}
+
+// lateTransport is the pipe transport with a listener that, when the
+// coordinator closes it, first lets one more worker connect and waits
+// until that connection is accepted: a worker joining just as the last
+// job finished.
+type lateTransport struct {
+	*fabric.PipeTransport
+	late chan error // the late worker's Work result
+}
+
+func (lt *lateTransport) Serve(addr string) (fabric.Listener, error) {
+	ln, err := lt.PipeTransport.Serve(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &lateListener{Listener: ln, t: lt, addr: addr, lateIn: make(chan struct{})}, nil
+}
+
+type lateListener struct {
+	fabric.Listener
+	t       *lateTransport
+	addr    string
+	closing atomic.Bool
+	lateIn  chan struct{} // closed once the late connection is accepted
+	once    sync.Once
+}
+
+func (l *lateListener) Accept() (io.ReadWriteCloser, error) {
+	c, err := l.Listener.Accept()
+	if err == nil && l.closing.Load() {
+		close(l.lateIn)
+	}
+	return c, err
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() {
+		l.closing.Store(true)
+		go func() { l.t.late <- fabric.Work(l.t, l.addr, fleetRegistry, nil) }()
+		<-l.lateIn
+	})
+	return l.Listener.Close()
+}
+
+// TestLateWorkerReleased covers a worker whose connection is accepted
+// after the coordinator's event loop has ended: Coordinate must close
+// it, so the worker's Work returns instead of waiting forever for work
+// or a bye. The accepted connection races the coordinator's shutdown,
+// so the scenario repeats.
+func TestLateWorkerReleased(t *testing.T) {
+	jobs := []fabric.Job{{Name: "mutex/lamport-fast", N: 2,
+		Opts: check.Options{MaxDepth: 60, CollapseSpins: true, DPOR: true}}}
+	for i := 0; i < 20; i++ {
+		lt := &lateTransport{PipeTransport: fabric.NewPipeTransport(), late: make(chan error, 1)}
+		early := make(chan error, 1)
+		go func() { early <- fabric.Work(lt, "coord", fleetRegistry, nil) }()
+		results, _, err := fabric.Coordinate(lt, "coord", jobs, fleetRegistry, fabric.CoordOptions{})
+		if err != nil {
+			t.Fatalf("Coordinate: %v", err)
+		}
+		if r := results[0]; r.Err != "" || r.Degraded {
+			t.Fatalf("job: err %q, degraded %v", r.Err, r.Degraded)
+		}
+		if err := <-early; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+		select {
+		case <-lt.late:
+			// A nil error or a failed hello on the closed connection:
+			// either way the late worker is released.
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: late worker still waiting after the coordinator returned", i)
+		}
+	}
 }

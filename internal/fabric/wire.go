@@ -12,10 +12,9 @@ import (
 
 // ProtoVersion is the wire protocol version; hello frames carry it and
 // the coordinator rejects mismatched workers instead of guessing.
-// Version 2 added DPOR wave distribution (the wave/waved frames),
-// delta-encoded node batches, descent-chain probe replies and the
-// replayed/saved event counters on probe replies.
-const ProtoVersion = 2
+// Version 3 removed frontier probing (the probe/probed frames): sharded
+// jobs travel only as DPOR waves.
+const ProtoVersion = 3
 
 // MaxFrame bounds a single frame's JSON payload. A frame announcing a
 // larger length is a protocol violation and drops the connection — the
@@ -30,8 +29,6 @@ const (
 	MsgResult     = "result"      // worker → coordinator: {id, res, ms}
 	MsgShardOpen  = "shard-open"  // coordinator → worker: {shard, job}
 	MsgShardClose = "shard-close" // coordinator → worker: {shard}
-	MsgProbe      = "probe"       // coordinator → worker: {id, shard, nodes}
-	MsgProbed     = "probed"      // worker → coordinator: {id, shard, reports, rp, sv}
 	MsgWave       = "wave"        // coordinator → worker: {id, shard, nodes}
 	MsgWaved      = "waved"       // worker → coordinator: {id, shard, wreports, rp, sv}
 	MsgError      = "error"       // worker → coordinator: {id, err}
@@ -47,31 +44,26 @@ type Msg struct {
 	Shard    int                `json:"shard,omitempty"`
 	Job      *JobSpec           `json:"job,omitempty"`
 	Nodes    []WireNode         `json:"nodes,omitempty"`
-	// Reports carries one descent chain per probed node of the batch,
-	// aligned with the probe frame's Nodes.
-	Reports  [][]Report         `json:"reports,omitempty"`
 	WReports []check.WaveReport `json:"wreports,omitempty"`
 	Res      *WireResult        `json:"res,omitempty"`
 	Ms       int64              `json:"ms,omitempty"`
-	// Replayed and Saved are the probing prober's event-count deltas for
+	// Replayed and Saved are the wave prober's event-count deltas for
 	// this reply (see check.ProbeStats).
 	Replayed int64  `json:"rp,omitempty"`
 	Saved    int64  `json:"sv,omitempty"`
 	Err      string `json:"err,omitempty"`
 }
 
-// WireNode is one frontier node (or wave task) delta-encoded against
-// the FIRST node of its batch: P leading schedule entries are shared
-// with the first node's schedule, S is the remaining tail. The first
-// node of a batch always ships whole (P = 0). Batches ship in DFS
-// order sorted by decision-stack prefix, so sibling runs deep in the
-// tree collapse to a few tail entries each — the frame-size half of the
-// prefix-locality story (the replay half is the prober's live session).
+// WireNode is one wave task delta-encoded against the FIRST node of its
+// batch: P leading schedule entries are shared with the first node's
+// schedule, S is the remaining tail. The first node of a batch always
+// ships whole (P = 0). A wave chunk is a run of contiguous tasks, which
+// are siblings sharing long schedule prefixes, so deep in the tree each
+// collapses to a few tail entries.
 type WireNode struct {
 	P     int    `json:"p,omitempty"`
 	S     []int  `json:"s,omitempty"`
 	Sleep uint64 `json:"sleep,omitempty"`
-	Full  bool   `json:"f,omitempty"`
 }
 
 // encodeNodes delta-encodes a batch for the wire.
@@ -81,13 +73,13 @@ func encodeNodes(nodes []check.Node) []WireNode {
 	}
 	out := make([]WireNode, len(nodes))
 	first := nodes[0].Schedule
-	out[0] = WireNode{S: first, Sleep: nodes[0].Sleep, Full: nodes[0].Full}
+	out[0] = WireNode{S: first, Sleep: nodes[0].Sleep}
 	for i, nd := range nodes[1:] {
 		p := 0
 		for p < len(first) && p < len(nd.Schedule) && first[p] == nd.Schedule[p] {
 			p++
 		}
-		out[i+1] = WireNode{P: p, S: nd.Schedule[p:], Sleep: nd.Sleep, Full: nd.Full}
+		out[i+1] = WireNode{P: p, S: nd.Schedule[p:], Sleep: nd.Sleep}
 	}
 	return out
 }
@@ -103,7 +95,7 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 	}
 	first := w[0].S
 	out := make([]check.Node, len(w))
-	out[0] = check.Node{Schedule: first, Sleep: w[0].Sleep, Full: w[0].Full}
+	out[0] = check.Node{Schedule: first, Sleep: w[0].Sleep}
 	for i, n := range w[1:] {
 		if n.P < 0 || n.P > len(first) {
 			return nil, fmt.Errorf("fabric: malformed node batch: prefix %d exceeds first schedule of %d", n.P, len(first))
@@ -111,7 +103,7 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 		s := make([]int, n.P+len(n.S))
 		copy(s, first[:n.P])
 		copy(s[n.P:], n.S)
-		out[i+1] = check.Node{Schedule: s, Sleep: n.Sleep, Full: n.Full}
+		out[i+1] = check.Node{Schedule: s, Sleep: n.Sleep}
 	}
 	return out, nil
 }
@@ -119,7 +111,7 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 // JobSpec names one unit of work: a workload from the shared registry
 // plus the exploration options. For whole-entry jobs the worker runs
 // check.Explore with exactly these options; for shard-open it builds a
-// check.Prober from them.
+// check.WaveProber from them.
 type JobSpec struct {
 	Name string        `json:"name"`
 	N    int           `json:"n"`
@@ -128,8 +120,8 @@ type JobSpec struct {
 
 // WireViolation is a check.Violation flattened for the wire (error
 // values do not marshal). The string form is only provisional: every
-// violation that crosses the wire is re-verified or canonically
-// re-derived by serial replay at the coordinator before it is reported.
+// violation that crosses the wire is re-verified by serial replay at the
+// coordinator before it is reported.
 type WireViolation struct {
 	Schedule []int  `json:"sched"`
 	Err      string `json:"err"`
@@ -174,26 +166,6 @@ func (r *WireResult) toCheck() check.Result {
 		ReducedNodes: r.ReducedNodes, PORDisabled: r.PORDisabled,
 		SymmetryApplied: r.SymmetryApplied, Violation: r.Vio.toCheck(),
 	}
-}
-
-// Report is a check.ProbeReport in wire shape: the embedded report's
-// fields marshal directly (its Violation field is wire-excluded) and the
-// violation travels flattened alongside.
-type Report struct {
-	check.ProbeReport
-	Vio *WireViolation `json:"vio,omitempty"`
-}
-
-func toWireReport(rep check.ProbeReport) Report {
-	w := Report{ProbeReport: rep, Vio: toWireViolation(rep.Violation)}
-	w.ProbeReport.Violation = nil
-	return w
-}
-
-func (r Report) toCheck() check.ProbeReport {
-	rep := r.ProbeReport
-	rep.Violation = r.Vio.toCheck()
-	return rep
 }
 
 // WriteFrame marshals m and writes one length-prefixed frame. The

@@ -15,7 +15,7 @@ func TestNodeDeltaRoundTrip(t *testing.T) {
 	batch := []check.Node{
 		{Schedule: []int{0, 1, 0, 1, 0, 1, 0, 0}, Sleep: 3},
 		{Schedule: []int{0, 1, 0, 1, 0, 1, 0, 1}},
-		{Schedule: []int{0, 1, 0, 1, 0, 1, 1}, Full: true},
+		{Schedule: []int{0, 1, 0, 1, 0, 1, 1}},
 		{Schedule: []int{0, 1, 0, 1, 1}, Sleep: 1},
 		{Schedule: []int{0, 1, 0, -2}},
 		{Schedule: []int{1}},
@@ -41,7 +41,7 @@ func TestNodeDeltaRoundTrip(t *testing.T) {
 	}
 	for i := range batch {
 		a, b := batch[i], back[i]
-		if a.Sleep != b.Sleep || a.Full != b.Full || len(a.Schedule) != len(b.Schedule) {
+		if a.Sleep != b.Sleep || len(a.Schedule) != len(b.Schedule) {
 			t.Fatalf("node %d mangled: %+v -> %+v", i, a, b)
 		}
 		for j := range a.Schedule {

@@ -234,34 +234,62 @@ func Open(dir string) (*Dataset, error) {
 
 // Scan streams every record, in segment order, to fn until fn returns
 // false or the records run out. One record is resident at a time.
+//
+// A writer that crashed mid-append leaves the newest segment ending in
+// an unterminated line that may not decode; Scan skips that torn tail.
+// An undecodable line anywhere else is an error.
 func (d *Dataset) Scan(fn func(*Record) bool) error {
-	for _, seg := range d.Index.Segments {
-		f, err := os.Open(filepath.Join(d.Dir, seg.File))
-		if err != nil {
-			return fmt.Errorf("lode: %w", err)
+	for i, seg := range d.Index.Segments {
+		more, err := d.scanSegment(seg.File, i == len(d.Index.Segments)-1, fn)
+		if err != nil || !more {
+			return err
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var r Record
-			if err := json.Unmarshal(line, &r); err != nil {
-				f.Close()
-				return fmt.Errorf("lode: corrupt record in %s: %w", seg.File, err)
-			}
-			if !fn(&r) {
-				f.Close()
-				return nil
-			}
-		}
-		if err := sc.Err(); err != nil {
-			f.Close()
-			return fmt.Errorf("lode: %w", err)
-		}
-		f.Close()
 	}
 	return nil
+}
+
+// scanSegment streams one segment's records to fn; more is false once fn
+// has asked to stop or the segment ended in a torn tail.
+func (d *Dataset) scanSegment(file string, newest bool, fn func(*Record) bool) (more bool, err error) {
+	f, err := os.Open(filepath.Join(d.Dir, file))
+	if err != nil {
+		return false, fmt.Errorf("lode: %w", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			if newest && !sc.Scan() && sc.Err() == nil && endsMidLine(f) {
+				return false, nil
+			}
+			return false, fmt.Errorf("lode: corrupt record in %s: %w", file, err)
+		}
+		if !fn(&r) {
+			return false, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return false, fmt.Errorf("lode: %w", err)
+	}
+	return true, nil
+}
+
+// endsMidLine reports whether f's last byte is something other than a
+// newline: its last line is unterminated.
+func endsMidLine(f *os.File) bool {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return false
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], st.Size()-1); err != nil {
+		return false
+	}
+	return b[0] != '\n'
 }

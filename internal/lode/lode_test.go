@@ -1,6 +1,7 @@
 package lode
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -82,6 +83,79 @@ func TestWriteScanRoundTrip(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("early exit scanned %d, want 10", n)
+	}
+}
+
+// TestScanToleratesTornTail covers a crashed writer's dataset: a torn,
+// unterminated last line in the newest segment is skipped, while an
+// undecodable interior line, or a torn tail in an older segment, is
+// still an error.
+func TestScanToleratesTornTail(t *testing.T) {
+	old := SegmentRecords
+	SegmentRecords = 2
+	defer func() { SegmentRecords = old }()
+
+	// write creates a dataset of 3 records (segments of 2 and 1), then
+	// lets damage rewrite the segment files' contents.
+	write := func(damage func(segs [][]byte)) *Dataset {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "ds")
+		w, err := Create(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := w.Append(&Record{Seed: int64(i), Scenario: "uniform", Verdict: "ok"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := make([][]byte, len(d.Index.Segments))
+		for i, seg := range d.Index.Segments {
+			if segs[i], err = os.ReadFile(filepath.Join(dir, seg.File)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		damage(segs)
+		for i, seg := range d.Index.Segments {
+			if err := os.WriteFile(filepath.Join(dir, seg.File), segs[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	const torn = `{"seed":3,"scena`
+
+	d := write(func(segs [][]byte) { segs[1] = append(segs[1], torn...) })
+	n := 0
+	if err := d.Scan(func(*Record) bool { n++; return true }); err != nil {
+		t.Fatalf("torn tail in the newest segment: %v", err)
+	}
+	if n != 3 {
+		t.Fatalf("scanned %d records past a torn tail, want 3", n)
+	}
+
+	for name, damage := range map[string]func(segs [][]byte){
+		"corrupt middle record": func(segs [][]byte) {
+			first := bytes.IndexByte(segs[0], '\n') + 1
+			segs[0] = append(segs[0][:first], torn+"\n"...)
+		},
+		"corrupt line inside the newest segment": func(segs [][]byte) {
+			segs[1] = append([]byte(torn+"\n"), segs[1]...)
+		},
+		"torn tail in an older segment": func(segs [][]byte) {
+			segs[0] = append(segs[0], torn...)
+		},
+	} {
+		if err := write(damage).Scan(func(*Record) bool { return true }); err == nil {
+			t.Errorf("%s: scanned without error", name)
+		}
 	}
 }
 

@@ -16,9 +16,9 @@
 // in the simulator's Memory, and instance methods are pure functions of
 // the values their accesses return. One instance therefore serves any
 // number of sequential runs (the memory is reset per run), and the model
-// checker's parallel explorer builds one instance per worker — never
-// sharing instances across goroutines, because the Memory underneath is
-// single-run state.
+// checker's parallel DPOR wave pass builds one instance per goroutine —
+// never sharing instances across goroutines, because the Memory
+// underneath is single-run state.
 //
 // The portfolio doubles as the checker's test corpus: every algorithm
 // here is exhaustively verified for small process counts by cfccheck and

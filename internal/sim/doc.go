@@ -83,8 +83,9 @@
 // at the same checkpoint. The model checker (package check) is the
 // driving client: its depth-first exploration makes consecutive targets
 // share long prefixes, so nearly every Seek is a single-decision
-// extension, and its parallel explorer gives each worker a private
-// session positioned with Seek at stolen frontier schedules.
+// extension, and its DPOR wave pass gives each goroutine (or fabric
+// worker) a private session positioned with Seek at arbitrary wave-task
+// schedules.
 //
 // Session.PendingOps exposes the suspended processes' next requests —
 // operation, register footprint, written argument — before any of them

@@ -2,8 +2,8 @@ package sim
 
 // Edge-case coverage for the Session checkpointing primitives
 // (Decisions, TruncateTo, Seek, Fork). These paths are load-bearing for
-// the model checker's parallel explorer, which positions per-worker
-// sessions at arbitrary frontier schedules.
+// the model checker's DPOR wave pass, which positions per-worker
+// sessions at arbitrary wave-task schedules.
 
 import (
 	"errors"
@@ -261,8 +261,7 @@ func TestSessionCloseThenRevive(t *testing.T) {
 	if err := s.Step(0); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Step on closed session = %v, want ErrSessionClosed", err)
 	}
-	// Seek revives a closed session (the checker's workers do this when
-	// they pick up a frontier node after abandoning a chain).
+	// Seek revives a closed session.
 	if err := s.Seek([]int{1, 1, 0}); err != nil {
 		t.Fatal(err)
 	}

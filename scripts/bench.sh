@@ -13,9 +13,8 @@
 # The emitted file carries ns/op, events/op and ns/event per benchmark,
 # the frozen seed baseline (the goroutine-engine numbers before the
 # direct-execution engine landed), a check_suite section timing the
-# model-checker test suite serially versus with 4 parallel explorer
-# workers (CFC_CHECK_WORKERS) plus a multicore honesty flag (a speedup
-# measured on one core is coordination overhead, not speedup), por and
+# model-checker's exhaustive tests plus a multicore honesty flag (a
+# speedup measured on one core is coordination overhead, not speedup), por and
 # dpor sections recording the three-way reduction differential
 # (cfccheck -pordiff): per portfolio entry the state counts, wall-clock
 # and reduction ratios of the static ample-set POR and of source-DPOR
@@ -25,14 +24,10 @@
 # line), a fabric section timing the default n=2 portfolio single-process
 # versus a coordinator plus two local worker processes over loopback TCP
 # (jobs/sec and wall-clock from cfccheck -serve's FABRIC-SUMMARY line,
-# with the outputs diffed for equality first) — plus two sharded legs:
-# a locality leg sharding a deep chain-heavy exploration (-shards 2,
-# mutex/lamport-fast, raw POR) whose events_replayed/events_saved
-# counters must show the prefix-local schedule replaying at least 3x
-# fewer events than the root-replay-per-node baseline (replayed+saved),
-# and a wave leg running the full DPOR portfolio with -shards 2 through
-# the distributed wave engine, both byte-diffed against their
-# single-process runs first — and a sink section
+# with the outputs diffed for equality first) — plus a wave leg running
+# the full DPOR portfolio with -shards 2 through the distributed wave
+# engine, byte-diffed against its single-process run first — and a sink
+# section
 # measuring the zero-alloc streaming pipeline:
 # a SINK_RUNS-run (default one million) single-cell fleet sweep whose
 # per-run observation happens entirely in event sinks, recording
@@ -42,9 +37,8 @@
 # After writing the record it is diffed against the committed baseline
 # record. Wall-clock comparisons are only meaningful on like hardware:
 # when the baseline's cpu count differs from this host's, a HARDWARE
-# MISMATCH note is printed and the time-based comparisons (check_suite
-# speedup, ns/op regression warnings) are suppressed instead of
-# reporting misleading ratios.
+# MISMATCH note is printed and the ns/op regression warnings are
+# suppressed instead of reporting misleading ratios.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,24 +56,16 @@ trap 'rm -f "$RAW" "$PORRAW" "$OLDTAB" "$NEWTAB"' EXIT
 go build ./...
 go test ./...
 
-# Model-checker exploration wall clock, serial vs 4 workers. Only the
-# worker-sensitive exhaustive tests are timed (-run TestExhaustive):
-# the rest of the package — in particular the differential gates, which
-# always explore in both modes — would be a mode-independent constant
-# diluting the ratio. On a single-core machine the two are expected to
-# tie (the workers time-slice); the speedup is meaningful on multi-core
-# only, so the record carries the cpu count alongside.
+# Model-checker exploration wall clock: the exhaustive tests (-run
+# TestExhaustive) on the serial reference explorer. The record carries
+# the cpu count alongside.
 CPUS="$(getconf _NPROCESSORS_ONLN)"
 now_ms() { date +%s%3N; }
 t0=$(now_ms)
-CFC_CHECK_WORKERS=1 go test -count=1 -run 'TestExhaustive' ./internal/check >/dev/null
+go test -count=1 -run 'TestExhaustive' ./internal/check >/dev/null
 t1=$(now_ms)
 CHECK_SERIAL_MS=$((t1 - t0))
-t0=$(now_ms)
-CFC_CHECK_WORKERS=4 go test -count=1 -run 'TestExhaustive' ./internal/check >/dev/null
-t1=$(now_ms)
-CHECK_PAR_MS=$((t1 - t0))
-echo "check explorations: serial ${CHECK_SERIAL_MS}ms, workers=4 ${CHECK_PAR_MS}ms (cpus: ${CPUS})"
+echo "check explorations: ${CHECK_SERIAL_MS}ms (cpus: ${CPUS})"
 
 # Partial-order-reduction differential over the default portfolio: the
 # gate fails the whole bench run if any verdict disagrees (set -e), and
@@ -165,25 +151,6 @@ run_fabric() { # run_fabric <outfile> <flags...> -> outputs diffed vs a single-p
         || { echo "sharded fabric output differs from single-process run ($*)" >&2; exit 1; }
 }
 
-# Locality leg: one deep chain-heavy exploration (mutex/lamport-fast,
-# static POR on the raw spin graph) sharded across both workers. The
-# counters are event counts, so the ratio is hardware-independent:
-# events_saved is replay work the workers' live sessions skipped, and
-# (replayed+saved)/replayed is the win over the root-replay-per-node
-# prober this PR replaced — gated here at the 3x acceptance bar.
-run_fabric "$FABDIR/locality.txt" -n 2 -dpor=false -collapse=false -depth 60 -states $((1 << 21)) -only mutex/lamport-fast -shards 2
-LOCALITY_SUMMARY="$(grep '^FABRIC-SUMMARY ' "$FABDIR/locality.txt")"
-locality_val() {
-    awk -v key="$1" '{
-        for (i = 2; i <= NF; i++) {
-            if (index($i, key "=") == 1) { print substr($i, length(key) + 2); exit }
-        }
-    }' <<< "$LOCALITY_SUMMARY"
-}
-echo "$LOCALITY_SUMMARY"
-awk "BEGIN{ exit !($(locality_val locality_ratio) >= 3.0) }" \
-    || { echo "locality ratio $(locality_val locality_ratio) below the 3x acceptance bar" >&2; exit 1; }
-
 # Wave leg: the full DPOR portfolio with every job split into
 # distributed expansion waves (-shards 2); the diff proves the BSP
 # split is invisible, the summary records how many wave tasks crossed
@@ -216,17 +183,14 @@ go test -run '^$' -bench 'BenchmarkSim' -benchtime "$BENCHTIME" . | tee "$RAW"
     printf '    "SimExhaustiveCheck": {"ns_per_op": 6397282},\n'
     printf '    "go_test_internal_check_seconds": 13.3\n'
     printf '  },\n'
-    # The exhaustive exploration tests serial vs parallel explorer (see
-    # CFC_CHECK_WORKERS in internal/check/parallel_test.go). speedup is
-    # serial/workers4; on a single-core host (cpus = 1) it cannot exceed
-    # ~1 and records coordination overhead instead.
+    # The exhaustive exploration tests on the serial explorer.
     # multicore is the honesty flag for every time-based ratio in the
-    # record: false means the host had one core, so the speedup and the
-    # parallel dpor_ms numbers measure time-slicing, not parallelism.
-    printf '  "check_suite": {"cpus": %d, "multicore": %s, "serial_seconds": %.2f, "workers4_seconds": %.2f, "speedup": %.2f},\n' \
+    # record: false means the host had one core, so the fabric speedup
+    # and the parallel dpor_ms numbers measure time-slicing, not
+    # parallelism.
+    printf '  "check_suite": {"cpus": %d, "multicore": %s, "serial_seconds": %.2f},\n' \
         "$CPUS" "$([[ "$CPUS" -gt 1 ]] && echo true || echo false)" \
-        "$(awk "BEGIN{print $CHECK_SERIAL_MS/1000.0}")" "$(awk "BEGIN{print $CHECK_PAR_MS/1000.0}")" \
-        "$(awk "BEGIN{print ($CHECK_PAR_MS > 0) ? $CHECK_SERIAL_MS/$CHECK_PAR_MS : 0}")"
+        "$(awk "BEGIN{print $CHECK_SERIAL_MS/1000.0}")"
     # Fleet throughput from the fixed-seed smoke fleet's FLEET-SUMMARY.
     printf '  "fleet": {"seed": %s, "n": %s, "runs": %s, "events": %s, "runs_per_s": %s, "events_per_s": %s},\n' \
         "$(fleet_val seed)" "$(fleet_val n)" "$(fleet_val runs)" "$(fleet_val events)" \
@@ -235,19 +199,10 @@ go test -run '^$' -bench 'BenchmarkSim' -benchtime "$BENCHTIME" . | tee "$RAW"
     # coordinator plus two local loopback-TCP workers, outputs verified
     # identical before timing. Like every wall-clock ratio in the
     # record, the speedup is only meaningful when multicore is true.
-    printf '  "fabric": {"workers": %s, "shards": %s, "jobs": %s, "probes": %s, "single_ms": %d, "fabric_wall_ms": %s, "jobs_per_s": %s, "speedup": %.2f},\n' \
-        "$(fabric_val workers)" "$(fabric_val shards)" "$(fabric_val jobs)" "$(fabric_val probes)" \
+    printf '  "fabric": {"workers": %s, "shards": %s, "jobs": %s, "single_ms": %d, "fabric_wall_ms": %s, "jobs_per_s": %s, "speedup": %.2f},\n' \
+        "$(fabric_val workers)" "$(fabric_val shards)" "$(fabric_val jobs)" \
         "$FABRIC_SINGLE_MS" "$(fabric_val wall_ms)" "$(fabric_val jobs_per_s)" \
         "$(awk "BEGIN{w=$(fabric_val wall_ms); print (w > 0) ? $FABRIC_SINGLE_MS/w : 0}")"
-    # Locality leg: event-count proof of the prefix-local scheduling win.
-    # baseline_events = events_replayed + events_saved is exactly what the
-    # PR 9 root-replay-per-node prober would have re-executed; the ratio
-    # is hardware-independent and gated at >= 3 above.
-    printf '  "fabric_locality": {"workload": "mutex/lamport-fast", "opts": "por,raw-spins,depth=60", "shards": %s, "workers": %s, "probes": %s, "events_replayed": %s, "events_saved": %s, "baseline_events": %s, "locality_ratio": %s},\n' \
-        "$(locality_val shards)" "$(locality_val workers)" "$(locality_val probes)" \
-        "$(locality_val events_replayed)" "$(locality_val events_saved)" \
-        "$(awk "BEGIN{print $(locality_val events_replayed) + $(locality_val events_saved)}")" \
-        "$(locality_val locality_ratio)"
     # Wave leg: the DPOR portfolio through the distributed wave engine,
     # byte-identical to single-process (diffed before recording).
     printf '  "fabric_waves": {"jobs": %s, "shards": %s, "workers": %s, "wave_tasks": %s, "wall_ms": %s},\n' \
@@ -323,9 +278,8 @@ go test -run '^$' -bench 'BenchmarkSim' -benchtime "$BENCHTIME" . | tee "$RAW"
 echo "wrote $OUT"
 
 # Comparisons against the committed baseline record. Wall-clock numbers
-# from different hardware are not comparable: a parallel suite timed on
-# one core measures coordination overhead, not speedup, and ns/op moves
-# with the core count and clock. So first check the recorded cpu count.
+# from different hardware are not comparable: ns/op moves with the core
+# count and clock. So first check the recorded cpu count.
 json_num() { # json_num file key -> first numeric value of "key"
     awk -F'[:,}]' -v key="\"$2\"" '
         $0 ~ key {
@@ -350,14 +304,9 @@ if [[ -f "$BASELINE" && "$BASELINE" != "$OUT" ]]; then
     BASE_CPUS="$(json_num "$BASELINE" cpus)"
     if [[ -n "$BASE_CPUS" && "$BASE_CPUS" != "$CPUS" ]]; then
         echo "HARDWARE MISMATCH: $BASELINE was recorded on ${BASE_CPUS} cpu(s), this host has ${CPUS};"
-        echo "  suppressing the check_suite speedup comparison and the ns/op regression diff"
+        echo "  suppressing the ns/op regression diff"
         echo "  (time-based ratios across differing hardware are not meaningful; compare records from like hardware)"
     else
-        BASE_SPEEDUP="$(json_num "$BASELINE" speedup)"
-        NEW_SPEEDUP="$(json_num "$OUT" speedup)"
-        if [[ -n "$BASE_SPEEDUP" ]]; then
-            echo "check_suite speedup: ${NEW_SPEEDUP} (baseline ${BASE_SPEEDUP}, cpus ${CPUS})"
-        fi
         extract_ns "$BASELINE" > "$OLDTAB"
         extract_ns "$OUT" > "$NEWTAB"
         awk -v base="$BASELINE" '
