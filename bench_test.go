@@ -351,13 +351,11 @@ func BenchmarkSimExhaustiveCheck(b *testing.B) {
 	modes := []struct {
 		name    string
 		workers int
-		por     bool
 		dpor    bool
 	}{
-		{"workers=1", 1, false, false},
-		{"workers=1-por", 1, true, false},
-		{"workers=1-dpor", 1, false, true},
-		{"workers=4-dpor", 4, false, true},
+		{"workers=1", 1, false},
+		{"workers=1-dpor", 1, true},
+		{"workers=4-dpor", 4, true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -366,7 +364,6 @@ func BenchmarkSimExhaustiveCheck(b *testing.B) {
 				res, err := cfc.Explore(build, cfc.CheckMutualExclusion, cfc.CheckOptions{
 					MaxDepth:      80,
 					CollapseSpins: true,
-					POR:           m.por,
 					DPOR:          m.dpor,
 					Symmetry:      m.dpor,
 					Workers:       m.workers,

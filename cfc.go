@@ -18,8 +18,9 @@
 //     naming algorithms of Theorem 4;
 //   - the closed-form bounds of Theorems 1-7 as checkable functions;
 //   - executable adversaries for the lower-bound constructions and an
-//     exhaustive model checker for small configurations: a serial
-//     depth-first search, or the DPOR engine, whose wave pass runs on
+//     exhaustive model checker for small configurations with two
+//     engines: the unreduced reference depth-first search, and the DPOR
+//     engine (CheckOptions.DPOR), whose wave pass runs on
 //     CheckOptions.Workers goroutines with identical results.
 //
 // # Quick start
@@ -405,7 +406,8 @@ type (
 )
 
 // Explore exhaustively explores the interleavings of a small program; see
-// check.Explore. CheckOptions.Workers parallelises only the DPOR
+// check.Explore. Without CheckOptions.DPOR it runs the unreduced
+// reference search; CheckOptions.Workers parallelises only the DPOR
 // engine's wave pass.
 func Explore(build Builder, prop func(*Trace) error, opts CheckOptions) (CheckResult, error) {
 	return check.Explore(build, prop, opts)

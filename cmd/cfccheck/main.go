@@ -10,11 +10,10 @@
 //	cfccheck -kind mutex          # only mutual exclusion
 //	cfccheck -kind naming -crash  # naming with crash injection
 //	cfccheck -workers 1           # DPOR wave pass on one goroutine
-//	cfccheck -dpor=false          # static ample-set POR instead of DPOR
-//	cfccheck -dpor=false -por=false  # unreduced reference exploration
+//	cfccheck -dpor=false          # unreduced reference exploration
 //	cfccheck -sym=false           # DPOR without symmetry reduction
 //	cfccheck -only splitter       # jobs whose name contains "splitter"
-//	cfccheck -pordiff             # three-way reduction differential gate
+//	cfccheck -pordiff             # reference-vs-DPOR differential gate
 //	cfccheck -serve :9401         # coordinate the portfolio over the fabric
 //	cfccheck -join host:9401      # join a coordinator as a worker
 //	cfccheck -serve :9401 -shards 2              # DPOR jobs as distributed waves
@@ -25,21 +24,20 @@
 //
 // -workers sets the goroutines of the DPOR engine's wave-expansion pass
 // per job (default: all cores). Explorations report identical states,
-// runs and verdicts at any worker count; the -dpor=false engines always
-// explore serially. See check.Options.Workers.
+// runs and verdicts at any worker count; the -dpor=false reference
+// always explores serially. See check.Options.Workers.
 //
 // -dpor (default on) selects dynamic partial-order reduction
 // (source-DPOR, check/dpor.go) with pid-symmetry canonicalisation of
 // the visited set (-sym=false turns the latter off; it only engages on
-// programs that declare a symmetry group anyway). -dpor=false falls
-// back to the static ample-set POR of earlier revisions, and
-// additionally -por=false to the exhaustive reference mode.
+// programs that declare a symmetry group anyway). -dpor=false runs the
+// unreduced reference exploration instead.
 //
-// -pordiff runs every job three ways — unreduced reference, static
-// POR, and DPOR(+symmetry per -sym) — and fails unless all verdicts
-// agree (replaying every witness when a violation is found), printing
-// one machine-parseable line per job with state counts, wall-clock and
-// reduction ratios — the soundness gate CI runs on the portfolio.
+// -pordiff runs every job two ways — unreduced reference and
+// DPOR(+symmetry per -sym) — and fails unless the verdicts agree
+// (replaying every witness when a violation is found), printing one
+// machine-parseable line per job with state counts, wall-clock and the
+// reduction ratio — the soundness gate CI runs on the portfolio.
 //
 // -serve and -join run the same portfolio over the distributed check
 // fabric (internal/fabric): the coordinator owns the job queue, workers
@@ -86,14 +84,12 @@ func run() int {
 		crash    = flag.Bool("crash", false, "inject crashes (naming and detection)")
 		depth    = flag.Int("depth", 120, "schedule depth bound")
 		states   = flag.Int("states", 1<<19, "state budget")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "DPOR wave-expansion goroutines per job (the -dpor=false engines always explore serially)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "DPOR wave-expansion goroutines per job (the -dpor=false reference always explores serially)")
 		collapse = flag.Bool("collapse", true, "collapse pure spin-wait cycles into one state (-collapse=false explores the raw transition graph)")
-		por      = flag.Bool("por", true, "with -dpor=false: static partial-order reduction (-por=false = unreduced reference mode)")
-		porauto  = flag.Bool("porauto", true, "with -dpor=false: fall back to the unreduced exploration when the static reduction is unprofitable")
-		dpor     = flag.Bool("dpor", true, "dynamic partial-order reduction (source-DPOR; -dpor=false selects the static -por path)")
+		dpor     = flag.Bool("dpor", true, "dynamic partial-order reduction (source-DPOR; -dpor=false runs the unreduced reference exploration)")
 		sym      = flag.Bool("sym", true, "with -dpor: canonicalise the visited set under declared pid symmetry")
 		only     = flag.String("only", "", "only jobs whose name contains this substring")
-		pordiff  = flag.Bool("pordiff", false, "three-way differential gate: reference vs static POR vs DPOR, require agreeing verdicts, report reduction ratios")
+		pordiff  = flag.Bool("pordiff", false, "differential gate: reference vs DPOR, require agreeing verdicts, report reduction ratios")
 
 		serve      = flag.String("serve", "", "coordinate the portfolio over the distributed fabric, listening at this TCP address")
 		join       = flag.String("join", "", "join a fabric coordinator at this TCP address as a worker")
@@ -125,8 +121,7 @@ func run() int {
 			continue
 		}
 		opts := check.Options{
-			MaxDepth: *depth, MaxStates: *states,
-			CollapseSpins: *collapse, POR: *por, PORAuto: *porauto,
+			MaxDepth: *depth, MaxStates: *states, CollapseSpins: *collapse,
 			DPOR: *dpor, Symmetry: *dpor && *sym,
 			Workers: *workers,
 		}
@@ -191,17 +186,6 @@ func printResult(name string, opts check.Options, res check.Result) (failed bool
 			status = "proved (" + engine + ")"
 		}
 		extra = fmt.Sprintf("  %6d reduced nodes", res.ReducedNodes)
-	} else if opts.POR && !res.PORDisabled {
-		status = "no violation (POR)"
-		if !res.Truncated {
-			status = "proved (POR-reduced)"
-		}
-		extra = fmt.Sprintf("  %6d reduced nodes", res.ReducedNodes)
-	} else if res.PORDisabled {
-		status = "proved (POR-auto: reference kept)"
-		if res.Truncated {
-			status = "no violation (POR-auto: reference kept)"
-		}
 	}
 	fmt.Printf("%-40s %-32s %7d states %6d runs%s\n", name, status, res.States, res.Runs, extra)
 	return false
@@ -272,25 +256,20 @@ func runServe(jobs []job, addr string, shards int, jobTimeout time.Duration) int
 	return 0
 }
 
-// runPORDiff is the soundness gate: every job explored three ways with
-// otherwise identical options — unreduced reference, static ample-set
-// POR, and source-DPOR (with symmetry canonicalisation when sym is set
-// and the program declares a group). All runs must agree on the
-// verdict; when a violation is found, every witness schedule is
-// replayed on a fresh program instance and must reproduce it. One
-// machine-parseable line per job (scripts/bench.sh turns them into the
-// BENCH record's por and dpor sections).
+// runPORDiff is the soundness gate: every job explored two ways with
+// otherwise identical options — the unreduced reference and source-DPOR
+// (with symmetry canonicalisation when sym is set and the program
+// declares a group). Both runs must agree on the verdict; when a
+// violation is found, both witness schedules are replayed on a fresh
+// program instance and must reproduce it. One machine-parseable line per
+// job (scripts/bench.sh turns them into the BENCH record's dpor
+// section).
 func runPORDiff(jobs []job, sym bool) int {
 	failed := 0
-	var maxRatio, maxDPORRatio float64
+	var maxDPORRatio float64
 	for _, j := range jobs {
-		// The differential compares pure explorations; PORAuto would
-		// silently substitute the reference on the static side and make
-		// the diff vacuous.
 		refOpts := j.opts
-		refOpts.POR, refOpts.PORAuto, refOpts.DPOR, refOpts.Symmetry = false, false, false, false
-		porOpts := refOpts
-		porOpts.POR = true
+		refOpts.DPOR, refOpts.Symmetry = false, false
 		dporOpts := refOpts
 		dporOpts.DPOR, dporOpts.Symmetry = true, sym
 
@@ -302,7 +281,6 @@ func runPORDiff(jobs []job, sym bool) int {
 		}
 		legs := []*leg{
 			{name: "reference", opts: refOpts},
-			{name: "POR", opts: porOpts},
 			{name: "DPOR", opts: dporOpts},
 		}
 		ok := true
@@ -321,19 +299,17 @@ func runPORDiff(jobs []job, sym bool) int {
 		if !ok {
 			continue
 		}
-		ref, por, dpor := legs[0].res, legs[1].res, legs[2].res
+		ref, dpor := legs[0].res, legs[1].res
 
 		verdict := "agree"
-		anyTrunc := ref.Truncated || por.Truncated || dpor.Truncated
 		switch {
-		case (ref.Violation == nil) != (por.Violation == nil) ||
-			(ref.Violation == nil) != (dpor.Violation == nil):
+		case (ref.Violation == nil) != (dpor.Violation == nil):
 			// A truncated exploration may legitimately miss a violation
 			// another run reaches: the comparison is vacuous, not unsound.
-			if anyTrunc {
+			if ref.Truncated || dpor.Truncated {
 				verdict = "incomparable-truncated"
-				fmt.Fprintf(os.Stderr, "%-40s WARNING: verdicts differ under truncation (ref=%v por=%v dpor=%v); raise -depth/-states for a meaningful diff\n",
-					j.name, ref.Truncated, por.Truncated, dpor.Truncated)
+				fmt.Fprintf(os.Stderr, "%-40s WARNING: verdicts differ under truncation (ref=%v dpor=%v); raise -depth/-states for a meaningful diff\n",
+					j.name, ref.Truncated, dpor.Truncated)
 			} else {
 				verdict = "DISAGREE"
 				failed++
@@ -351,22 +327,18 @@ func runPORDiff(jobs []job, sym bool) int {
 				}
 			}
 		}
-		ratio, dporRatio := 0.0, 0.0
-		if por.States > 0 {
-			ratio = float64(ref.States) / float64(por.States)
-		}
+		dporRatio := 0.0
 		if dpor.States > 0 {
 			dporRatio = float64(ref.States) / float64(dpor.States)
 		}
-		maxRatio = max(maxRatio, ratio)
 		maxDPORRatio = max(maxDPORRatio, dporRatio)
-		fmt.Printf("PORDIFF name=%s verdict=%s por_states=%d ref_states=%d ratio=%.2f por_ms=%d ref_ms=%d reduced_nodes=%d "+
-			"dpor_states=%d dpor_runs=%d dpor_ratio=%.2f dpor_ms=%d dpor_reduced=%d sym=%v truncated=%v/%v/%v\n",
-			j.name, verdict, por.States, ref.States, ratio, legs[1].ms, legs[0].ms, por.ReducedNodes,
-			dpor.States, dpor.Runs, dporRatio, legs[2].ms, dpor.ReducedNodes, dpor.SymmetryApplied,
-			por.Truncated, ref.Truncated, dpor.Truncated)
+		fmt.Printf("PORDIFF name=%s verdict=%s ref_states=%d ref_ms=%d "+
+			"dpor_states=%d dpor_runs=%d dpor_ratio=%.2f dpor_ms=%d dpor_reduced=%d sym=%v truncated=%v/%v\n",
+			j.name, verdict, ref.States, legs[0].ms,
+			dpor.States, dpor.Runs, dporRatio, legs[1].ms, dpor.ReducedNodes, dpor.SymmetryApplied,
+			ref.Truncated, dpor.Truncated)
 	}
-	fmt.Printf("PORDIFF-SUMMARY jobs=%d failed=%d max_ratio=%.2f max_dpor_ratio=%.2f\n", len(jobs), failed, maxRatio, maxDPORRatio)
+	fmt.Printf("PORDIFF-SUMMARY jobs=%d failed=%d max_dpor_ratio=%.2f\n", len(jobs), failed, maxDPORRatio)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "cfccheck: reduction differential failed on %d job(s)\n", failed)
 		return 1

@@ -60,52 +60,38 @@ type Options struct {
 	// values): every algorithm in this repository except the backoff
 	// variants qualifies. It is off by default.
 	CollapseSpins bool
-	// POR enables partial-order reduction: node expansion is delegated to
-	// an ample-set + sleep-set provider (see por.go) that explores a
-	// single step branch wherever some process's pending step is
-	// property-invisible and provably commutes — per the opset
-	// independence oracle — with every other live process's pending step,
-	// instead of branching on every ready process. Phase marks and
-	// outputs, which the safety properties observe, are never pruned
-	// alone, and crash branches are never pruned at all.
+	// POR is ignored by Explore.
+	//
+	// Deprecated: the static ample-set reduction it selected was deleted;
+	// the unreduced reference (DPOR unset) and DPOR are the two engines.
+	// The field remains only for callers that still set it.
+	POR bool
+	// DPOR enables dynamic partial-order reduction (source-DPOR, see
+	// dpor.go): every node starts with a single step branch and backtrack
+	// points are computed from the conflicts each executed schedule
+	// actually exhibits — a race between two steps of the path that the
+	// execution's own happens-before relation does not order schedules an
+	// alternative first step at the earlier node. Sleep sets (sleep.go)
+	// prune permutational duplicates, the visited set is keyed on (state,
+	// sleep), and completed explorations are bit-identical at any Workers
+	// count. Without DPOR, Explore runs the unreduced reference
+	// exploration, which branches on every live process at every node.
 	//
 	// Soundness contract: the property must depend only on the events the
 	// metrics properties depend on — the interleaving of marks, outputs
 	// and crashes, and each process's own event subsequence — not on the
 	// global order of accesses by different processes. Any violation
-	// reported under POR is real (POR only omits schedules; every witness
-	// replays), and a reduced exploration that reports no violation has
-	// checked a sufficient subset under that contract; -por=false (the
-	// zero value here) is the exhaustive reference mode, and the cfccheck
-	// -pordiff gate diffs the two verdicts across the whole portfolio.
+	// reported under DPOR is real (the reduction only omits schedules;
+	// every witness replays), and cfccheck -pordiff diffs its verdicts
+	// against the reference across the whole portfolio.
 	//
-	// Under POR, States counts expanded (state, sleep set) nodes — the
+	// Under DPOR, States counts expanded (state, sleep set) nodes — the
 	// unit of work the reduced search actually performs — and Runs counts
 	// the maximal schedules of the reduced tree, so both are expected to
 	// be (much) smaller than the reference exploration's; they remain
-	// deterministic.
-	// Reduction requires at most 64 processes (sleep sets are pid
-	// bitmasks); wider programs silently fall back to the full provider.
-	POR bool
-	// DPOR enables dynamic partial-order reduction (source-DPOR, see
-	// dpor.go): instead of the static ample-set provider, every node
-	// starts with a single step branch and backtrack points are computed
-	// from the conflicts each executed schedule actually exhibits — a
-	// race between two steps of the path that the execution's own
-	// happens-before relation does not order schedules an alternative
-	// first step at the earlier node. Sleep sets and the (state, sleep)
-	// visited key carry over from POR, and completed explorations are
-	// bit-identical at any Workers count.
-	//
-	// DPOR takes precedence over POR when both are set (cfccheck's
-	// three-way -pordiff gate runs them separately on purpose). The
-	// soundness contract is POR's: properties must not observe the
-	// global order of accesses by different processes; any violation
-	// reported is real and every witness replays. Like POR it requires
-	// at most 64 processes and silently falls back beyond. PORAuto does
-	// not apply to DPOR: the dynamic reduction needs no profitability
-	// fallback, and the known tas/ttas inflation is fixed at the source
-	// by live-normalising the sleep mask in the visited key.
+	// deterministic. Reduction requires at most 64 processes (sleep sets
+	// are pid bitmasks); wider programs silently fall back to the
+	// reference exploration.
 	DPOR bool
 	// Symmetry canonicalises the visited key under the program's
 	// declared pid-permutation group before lookup, so one
@@ -119,28 +105,19 @@ type Options struct {
 	// would make the group too large. Result.SymmetryApplied reports
 	// whether it was active.
 	Symmetry bool
-	// PORAuto tempers the known failure mode of (state, sleep)-keyed
-	// reduction: algorithms whose pending steps almost always conflict
-	// (tas/ttas — every process hammers one test-and-set bit) get no
-	// ample-set pruning, yet still pay the sleep-set key splitting, which
-	// inflates States ~10% over the exhaustive reference. With PORAuto
-	// (requires POR; otherwise ignored) the exploration first runs
-	// reduced; if it found a violation, that is returned as-is (POR
-	// verdicts are sound). If the reduction proved unprofitable — fewer
-	// than a quarter of the expanded nodes were actually reduced — the
-	// exhaustive reference exploration runs too, and the smaller of the
-	// two results is returned, with Result.PORDisabled set when the
-	// reference won. The decision is a pure function of the
-	// (deterministic) reduced exploration, so PORAuto verdicts and counts
-	// are reproducible.
+	// PORAuto is ignored by Explore.
+	//
+	// Deprecated: the two-pass profitability fallback of the static
+	// reduction was deleted together with it. The field remains only for
+	// callers that still set it.
 	PORAuto bool
 	// Workers is the number of goroutines that run the DPOR engine's
 	// wave-expansion pass, each owning a private program instance (one
 	// Builder call) and live session; 0 means 1. Results are
 	// bit-identical at any count — counters, truncation and the
 	// reported witness — because the order-sensitive commit pass stays
-	// serial (see dpor.go). The reference and static-POR engines always
-	// explore serially and ignore Workers.
+	// serial (see dpor.go). The reference engine always explores serially
+	// and ignores Workers.
 	Workers int
 }
 
@@ -168,15 +145,14 @@ type Result struct {
 	// exploration is not a full proof.
 	Truncated bool
 	// ReducedNodes counts the expanded nodes whose branch set was a
-	// strict subset of the enabled steps (ample-set or sleep-set
-	// pruning). Zero without Options.POR.
+	// strict subset of the enabled steps. Zero without Options.DPOR.
 	ReducedNodes int
 	// Violation is the first property failure found, or nil.
 	Violation *Violation
-	// PORDisabled reports that Options.PORAuto fell back to the
-	// exhaustive reference exploration because the reduction was
-	// unprofitable for this program; the counts describe the reference
-	// run.
+	// PORDisabled is always false.
+	//
+	// Deprecated: it reported the fallback of the deleted PORAuto mode.
+	// The field remains only for callers that still read it.
 	PORDisabled bool
 	// SymmetryApplied reports that pid-symmetry canonicalisation was
 	// active: Options.Symmetry was set under DPOR and the program
@@ -185,8 +161,10 @@ type Result struct {
 }
 
 // Explore exhaustively explores the interleavings of the program under
-// the property. It returns an error only for configuration problems; a
-// property failure is reported in Result.Violation.
+// the property, on one of two engines: the DPOR engine when Options.DPOR
+// is set, else the unreduced reference depth-first search. It returns an
+// error only for configuration problems; a property failure is reported
+// in Result.Violation.
 func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -199,42 +177,12 @@ func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	if opts.DPOR {
 		return exploreDPOR(build, prop, opts, maxDepth, maxStates)
 	}
-	if opts.POR && opts.PORAuto {
-		return exploreAuto(build, prop, opts, maxDepth, maxStates)
-	}
 	return exploreSerial(build, prop, opts, maxDepth, maxStates)
 }
 
-// exploreAuto implements Options.PORAuto: a reduced exploration first,
-// then — only when the reduction was unprofitable — the exhaustive
-// reference, keeping whichever visited fewer states.
-func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
-	por, err := exploreSerial(build, prop, opts, maxDepth, maxStates)
-	if err != nil {
-		return Result{}, err
-	}
-	// Violations are sound under POR, and a healthy reduction (at least a
-	// quarter of expanded nodes reduced) is kept without paying for the
-	// reference run.
-	if por.Violation != nil || por.ReducedNodes*4 >= por.States {
-		return por, nil
-	}
-	ref := opts
-	ref.POR, ref.PORAuto = false, false
-	full, err := exploreSerial(build, prop, ref, maxDepth, maxStates)
-	if err != nil {
-		return Result{}, err
-	}
-	// The reference wins when it found a violation or visited fewer
-	// states.
-	if full.Violation != nil || full.States < por.States {
-		full.PORDisabled = true
-		return full, nil
-	}
-	return por, nil
-}
-
-// exploreSerial is the single-goroutine depth-first explorer.
+// exploreSerial is the reference engine: a single-goroutine depth-first
+// search that branches on every live process (and, with crash
+// exploration, every crash) at every unvisited state.
 func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
 	e := &explorer{
 		prop:      prop,
@@ -246,8 +194,7 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 	if err := e.core.init(build, maxDepth); err != nil {
 		return Result{}, err
 	}
-	e.provider, e.por = newProvider(opts, len(e.core.procs))
-	// A panic in an algorithm body, property or provider surfaces as a
+	// A panic in an algorithm body or property surfaces as a
 	// checker error carrying the schedule prefix being expanded, like the
 	// DPOR engine's containment (see dexplorer.runStage).
 	err := func() (err error) {
@@ -257,18 +204,17 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 				err = fmt.Errorf("check: panicked expanding schedule prefix %v: %v", prefix, r)
 			}
 		}()
-		return e.dfs(nil, 0)
+		return e.dfs(nil)
 	}()
 	e.core.close()
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		States:       len(e.visited),
-		Runs:         e.runs,
-		Truncated:    e.truncated,
-		ReducedNodes: e.reduced,
-		Violation:    e.violation,
+		States:    len(e.visited),
+		Runs:      e.runs,
+		Truncated: e.truncated,
+		Violation: e.violation,
 	}, nil
 }
 
@@ -278,12 +224,9 @@ type explorer struct {
 	opts      Options
 	maxDepth  int
 	maxStates int
-	provider  enabledProvider
-	por       bool
 
 	visited   map[uint64]struct{}
 	runs      int
-	reduced   int
 	peeked    int // sibling replays skipped by the batch peek
 	truncated bool
 	violation *Violation
@@ -291,7 +234,7 @@ type explorer struct {
 	peekHist []histEntry // scratch for peekKey's branch-pid history
 }
 
-func (e *explorer) dfs(schedule []int, sleep uint64) error {
+func (e *explorer) dfs(schedule []int) error {
 	if e.violation != nil {
 		return nil
 	}
@@ -324,26 +267,6 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	}
 
 	h := e.core.stateHash(tr, e.opts.CollapseSpins)
-	if e.por {
-		// A node is (state, sleep set): the same state arrived at with a
-		// different sleep set explores different branches, so the visited
-		// key must separate them — that keeps expansion a pure function
-		// of the node, and with it the exploration order-independent.
-		//
-		// The mask is first normalised: restricted to the live pids — a
-		// sleep bit of a terminated or crashed process is never consulted
-		// again (dead processes have no pending step to skip and, the
-		// checker never restarting, never revive), so two arrivals
-		// differing only in dead sleep bits expand identically and must
-		// share a key — and then conflicting sleepers are woken
-		// (normalizeSleep), which collapses the per-state key fan-out on
-		// conflict-heavy programs. Together these fix the tas/ttas state
-		// inflation PR 6 papered over with PORAuto: processes finishing
-		// at different points and single-cell conflicts used to strew
-		// distinct sleep masks over otherwise-equal states.
-		sleep = normalizeSleep(&e.core, e.opts.CollapseSpins, e.core.pendingOps(), sleep&pidMask(live))
-		h = mix64(h, sleep)
-	}
 	if _, seen := e.visited[h]; seen {
 		return nil
 	}
@@ -353,12 +276,18 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	}
 	e.visited[h] = struct{}{}
 
-	// First branch first: the live session's decision stack still equals
-	// schedule here, so the child's Seek extends it by one event instead
-	// of replaying the prefix; later siblings rebuild from the root.
-	br, reduced := e.provider.branches(&e.core, live, schedule, sleep)
-	if reduced {
-		e.reduced++
+	// The unreduced branch set: every live process's step in ascending
+	// pid order, then — with crash exploration — a crash of every live
+	// process not crashed yet. live is the core's scratch, so it is
+	// copied before any child overwrites it.
+	br := make([]int, len(live), 2*len(live))
+	copy(br, live)
+	if e.opts.ExploreCrashes {
+		for _, pid := range live {
+			if !crashedIn(schedule, pid) {
+				br = append(br, -pid-1)
+			}
+		}
 	}
 
 	// Batch-peek the siblings before descending into any of them: every
@@ -372,14 +301,12 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	// children never enter the visited set (dfs returns before marking),
 	// so the peek can only skip children dfs would prune anyway; the
 	// depth guard keeps the boundary case (child at maxDepth must report
-	// Truncated) on the replay path. Serial non-POR explorer only: under
-	// POR the key mixes in the child's normalised sleep set, which is not
-	// known until the child's own pending steps are.
+	// Truncated) on the replay path.
 	var skip []bool
-	if !e.por && len(schedule)+1 < e.maxDepth {
+	if len(schedule)+1 < e.maxDepth {
 		pend := e.core.pendingOps()
-		for i, b := range br {
-			key, ok := e.peekKey(b, live, pend)
+		for i, entry := range br {
+			key, ok := e.peekKey(entry, live, pend)
 			if !ok {
 				continue
 			}
@@ -393,11 +320,14 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 		}
 	}
 
-	for i, b := range br {
+	// First branch first: the live session's decision stack still equals
+	// schedule here, so the child's Seek extends it by one event instead
+	// of replaying the prefix; later siblings rebuild from the root.
+	for i, entry := range br {
 		if skip != nil && skip[i] {
 			continue
 		}
-		if err := e.dfs(append(schedule, b.entry), b.sleep); err != nil {
+		if err := e.dfs(append(schedule, entry)); err != nil {
 			return err
 		}
 		if e.violation != nil {
@@ -407,7 +337,7 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	return nil
 }
 
-// peekKey computes the visited key the child reached via branch b would
+// peekKey computes the visited key the child reached via entry would
 // derive for itself — stateHash over the child's cell values and
 // histories — without replaying the child. It reads the parent node's
 // hashing scratch (c.vals, c.hist — filled by stateHash above, collapsed
@@ -416,15 +346,15 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 // exactly this purpose. ok is false when the branch cannot be peeked
 // (scratch misalignment or an unknown entry kind); the caller then
 // replays it normally.
-func (e *explorer) peekKey(b branch, live []int, pend []sim.PendingOp) (key uint64, ok bool) {
+func (e *explorer) peekKey(entry int, live []int, pend []sim.PendingOp) (key uint64, ok bool) {
 	c := &e.core
 	var en histEntry
 	pid := -1
 	cell := int32(-1)
 	var newVal uint64
 	switch {
-	case b.entry >= 0 && b.entry < len(c.procs):
-		pid = b.entry
+	case entry >= 0 && entry < len(c.procs):
+		pid = entry
 		var po sim.PendingOp
 		found := false
 		for i, q := range live {
@@ -446,8 +376,8 @@ func (e *explorer) peekKey(b branch, live []int, pend []sim.PendingOp) (key uint
 			cell = po.Cell
 			newVal = cur&^mask | (next<<po.Shift)&mask
 		}
-	case b.entry < 0 && -b.entry-1 < len(c.procs):
-		pid = -b.entry - 1
+	case entry < 0 && -entry-1 < len(c.procs):
+		pid = -entry - 1
 		en = histEntry{kind: uint8(sim.KindCrash)}
 	default:
 		return 0, false

@@ -26,51 +26,43 @@
 // by a single decision instead of replaying the prefix; only sibling
 // switches rebuild from the root, paying exactly the schedule length.
 //
-// # Partial-order reduction
+// # Engines
 //
-// Options.POR delegates node expansion to an ample-set + sleep-set
-// provider (por.go) instead of branching on every ready process. The
-// independence relation comes from three sources: the opset oracle
-// proves when two pending accesses commute (different cells, disjoint
-// bit-field footprints of one packed word, or a commuting operation
-// pair — a table brute-forced against Op.Apply), Local steps commute
-// with everything, and phase-mark/output steps are property-visible —
-// the safety properties observe their relative order — so they are
-// never pruned alone and two visible steps never commute. Where one
-// process's pending step commutes with every other live process's
-// pending step (and clears two dynamic footprint guards plus a cycle
-// proviso tied to the spin collapse), the node branches on that single
-// step; sleep sets then remove the remaining permutational duplicates.
-// Crash branches are never pruned.
+// There are two. The reference engine (Options.DPOR unset) is the
+// unreduced exploration: at every unvisited state it branches on every
+// live process's step and, with crash injection, every crash. It is the
+// oracle the reduction is diffed against — cfccheck -dpor=false, or zero
+// Options at the library level.
 //
-// Reduced state counts are NOT comparable to -por=false counts: the
+// Options.DPOR selects source-DPOR with sleep sets (dpor.go, sleep.go):
+// every node starts with a single step branch, and when an executed
+// schedule exhibits a conflict — two dependent steps by different
+// processes, judged by the opset independence oracle under a
+// vector-clock happens-before — a backtrack point is registered at the
+// earliest node that could have reordered it (the initials of the
+// reordered suffix, the source-set refinement). The independence
+// relation comes from three sources: the opset oracle proves when two
+// accesses commute (different cells, disjoint bit-field footprints of
+// one packed word, or a commuting operation pair — a table brute-forced
+// against Op.Apply), Local steps commute with everything, and
+// phase-mark/output steps are property-visible — the safety properties
+// observe their relative order — so two visible steps never commute.
+// Sleep sets remove the remaining permutational duplicates; crash
+// branches are never pruned.
+//
+// Reduced state counts are NOT comparable to reference counts: the
 // reduced exploration skips the interior states of commuting diamonds
 // and counts (state, sleep set) expansions, so States and Runs shrink —
-// that is the point — while verdicts must not change. The soundness
-// story is differential rather than proof-carrying (pending steps
-// cannot reveal a future conflict, so the ample choice is a heuristic
-// persistent-set approximation): any violation found under POR replays
-// to a real one, and cfccheck -pordiff re-checks the whole portfolio —
-// reference versus static POR versus DPOR — agreeing verdicts,
-// replaying witnesses — in CI on every push. The unreduced reference
-// run is always available: cfccheck -dpor=false -por=false, or zero
-// Options.POR/DPOR at the library level.
-//
-// # Dynamic partial-order reduction and symmetry
-//
-// Options.DPOR replaces the static provider with source-DPOR (dpor.go):
-// every node starts with a single step branch, and when an executed
-// schedule exhibits a conflict — two dependent accesses by different
-// processes, judged by the same opset oracle under a vector-clock
-// happens-before — a backtrack point is registered at the earliest node
-// that could have reordered it (the initials of the reordered suffix,
-// the source-set refinement). Because backtrack sets are computed from
-// conflicts each run actually exhibits rather than from pending steps,
-// the dynamic reduction needs no footprint guards and no profitability
-// fallback, and the differential fuzz harness (fuzz_test.go) holds it
-// to two-sided verdict agreement with the unreduced reference on
-// adversarial random programs — where the static heuristic is only held
-// to its documented one-sided contract (never inventing a violation).
+// that is the point — while verdicts must not change. Any violation
+// found under DPOR replays to a real one; cfccheck -pordiff re-checks
+// the whole portfolio — reference versus DPOR, agreeing verdicts,
+// replaying witnesses — in CI on every push, and the differential fuzz
+// harness (fuzz_test.go) holds DPOR to two-sided verdict agreement with
+// the reference on adversarial random programs.
+// The stateful part — pruning revisited states — is an approximation
+// (see the compensation caveat in dpor.go) that misses some one-line
+// mutants of spin-loop algorithms; mutant_test.go pins that the
+// reference engine kills them.
 //
 // Options.Symmetry canonicalises the DPOR visited key under the
 // program's declared pid-permutation group (symmetry.go,
@@ -84,17 +76,16 @@
 //
 // # Exploration paths
 //
-// There are two. The reference and static-POR engines run on the serial
-// explorer: a recursive depth-first search on the calling goroutine,
-// with the sibling peek (check.go) skipping replays of already-visited
-// children. The DPOR engine is wave-synchronised: each tree level is
-// expanded by a pass of pure per-node work, then a serial commit pass
-// makes every order-sensitive decision (visited arbitration, counters,
-// backtrack joins, violation selection) in deterministic task order.
-// Options.Workers > 1 runs the expansion pass on that many goroutines,
-// each with a private program instance and live session; results —
-// including truncated ones and counterexamples — are bit-identical at
-// any Workers count by construction. The same split lets the fabric
-// (internal/fabric) run the expansion pass in other processes
-// (wave.go).
+// The reference engine is a recursive depth-first search on the calling
+// goroutine, with the sibling peek (check.go) skipping replays of
+// already-visited children. The DPOR engine is wave-synchronised: each
+// tree level is expanded by a pass of pure per-node work, then a serial
+// commit pass makes every order-sensitive decision (visited arbitration,
+// counters, backtrack joins, violation selection) in deterministic task
+// order. Options.Workers > 1 runs the expansion pass on that many
+// goroutines, each with a private program instance and live session;
+// results — including truncated ones and counterexamples — are
+// bit-identical at any Workers count by construction. The same split
+// lets the fabric (internal/fabric) run the expansion pass in other
+// processes (wave.go).
 package check

@@ -13,16 +13,16 @@ import (
 
 // This file is the dynamic partial-order reduction engine
 // (Options.DPOR): a source-DPOR-style explorer that computes backtrack
-// sets from the conflicts each executed schedule actually exhibits,
-// instead of the static ample-set guesswork of por.go.
+// sets from the conflicts each executed schedule actually exhibits
+// (after Abdulla, Aronis, Jonsson & Sagonas, "Optimal Dynamic Partial
+// Order Reduction", POPL 2014).
 //
 // # Why dynamic
 //
-// The static provider must decide from a node's *pending* steps alone
-// whether postponing a process is safe, and needs two footprint
-// heuristics to paper over conflicts that are not yet pending. DPOR
-// inverts the burden of proof: every node starts with a single step
-// branch, and whenever an executed step is found to race with an
+// A node's *pending* steps alone cannot tell whether postponing a
+// process is safe: the conflict may lie in a step that is not pending
+// yet. DPOR inverts the burden of proof: every node starts with a single
+// step branch, and whenever an executed step is found to race with an
 // earlier step of the path — dependent per the brute-force-proven
 // opset.Independent oracle, and not already ordered by the
 // happens-before relation the execution itself induces — a backtrack
@@ -43,8 +43,8 @@ import (
 //     step against the path, check the property, and — for nodes that
 //     may expand — compute the visited key, choose the first child batch
 //     (the smallest awake pid whose step progresses under spin collapse,
-//     the cycle proviso of por.go, else every awake pid), and precompute
-//     the compensation ghosts a revisit would need. The pass is PURE: a
+//     the cycle proviso of progresses, else every awake pid), and
+//     precompute the compensation ghosts a revisit would need. The pass is PURE: a
 //     task's WaveReport is a function of its schedule and inherited
 //     sleep mask alone. Race-initials masks for ancestors come back as
 //     (depth, mask) pairs instead of being written anywhere.
@@ -85,7 +85,7 @@ import (
 //
 // # Sleep sets
 //
-// Children carry sleep sets with the por.go semantics: when a node
+// Children carry sleep sets with the sleep.go semantics: when a node
 // dispatches branch q after branch p, q's subtree starts with p asleep
 // unless p's pending step depends on q's step (filterSleep). Sleeping
 // pids are skipped when choosing batches, and a backtracked pid found
@@ -129,17 +129,16 @@ import (
 // additions to current-path ancestors would be lost. The engine
 // compensates at every visited hit: the hit state's pending steps, and
 // one step per recorded access shape in each live process's history
-// (the same "algorithms revisit their cells" observation behind
-// por.go's histConflicts), are race-checked against the path as if they
+// (the algorithms under check revisit their cells: spin loops,
+// validation reads), are race-checked against the path as if they
 // were about to execute, and their additions applied. This is an
 // approximation, not a proof: a pruned subtree could in principle
-// perform an access shape its history has not shown yet. It is exactly
-// the class of risk the static reduction already carries, and it is
-// fenced the same way — violations under DPOR are always real (only
+// perform an access shape its history has not shown yet. It is fenced
+// differentially — violations under DPOR are always real (only
 // schedules are omitted, never invented), every witness replays, and
-// the three-way cfccheck -pordiff gate re-proves verdict agreement
-// against both the static reduction and the unreduced reference across
-// the whole portfolio, crash variants included, in CI.
+// the cfccheck -pordiff gate re-proves verdict agreement against the
+// unreduced reference across the whole portfolio, crash variants
+// included, in CI.
 //
 // Symmetry reduction (symmetry.go) composes here: the visited key is
 // canonicalised under the declared pid-permutation group before lookup,
@@ -274,7 +273,7 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 // one worker, and explorations are bit-identical across counts —
 // including which violation is reported and where a budget truncates.
 // Programs wider than 64 processes fall back to the serial explorer
-// (pid bitmasks), mirroring newProvider's guard.
+// (pid bitmasks).
 func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -414,9 +413,8 @@ func (cfg *dconfig) stage(core *replayCore, sc *dscratch, sched []int, nodeSleep
 	base := core.stateHash(tr, cfg.collapse)
 	lm := pidMask(live)
 	// The node's effective sleep set: live pids only, conflicting
-	// sleepers woken (see normalizeSleep in por.go). Both the visited
-	// key and the expansion use it, so expansion stays a pure function
-	// of the key.
+	// sleepers woken (see normalizeSleep). Both the visited key and the
+	// expansion use it, so expansion stays a pure function of the key.
 	sleep := normalizeSleep(core, cfg.collapse, pend, nodeSleep&lm)
 	rep.Key = core.canonicalKey(cfg.sym, base, sleep)
 	rep.Pend = append([]sim.PendingOp(nil), pend...)
@@ -427,8 +425,9 @@ func (cfg *dconfig) stage(core *replayCore, sc *dscratch, sched []int, nodeSleep
 		// First batch: the smallest awake pid whose step progresses
 		// under spin collapse, else every awake pid (the node sits on a
 		// potential cycle and must be expanded in full — see the cycle
-		// proviso in por.go). Which single step starts is otherwise
-		// arbitrary: races schedule whatever else turns out to matter.
+		// proviso at progresses in sleep.go). Which single step starts is
+		// otherwise arbitrary: races schedule whatever else turns out to
+		// matter.
 		init := -1
 		for _, po := range pend {
 			if awake&(1<<uint(po.PID)) == 0 {
@@ -703,8 +702,7 @@ func (cfg *dconfig) syncPath(sc *dscratch, tr *sim.Trace, sched []int) error {
 	// cross-process termination order (mutual exclusion reads the
 	// Try/CS/Exit/Remainder marks, outputs are set-valued, and
 	// ExpectTermination is a predicate on the terminal state), and the
-	// static provider already treats final accesses as plain accesses —
-	// the termination mark is never a pending step.
+	// termination mark is never a pending step.
 	n := cfg.nprocs
 	for i := range sc.seqs {
 		sc.seqs[i] = 0
@@ -939,7 +937,7 @@ func (cfg *dconfig) ghostScan(sc *dscratch, m int, g *devent, sink *[]DepthMask)
 
 // deventsDependent is the dependence relation over executed (or
 // hypothetical) steps; it mirrors pendingIndependent — see the case
-// analysis in por.go.
+// analysis in sleep.go.
 func deventsDependent(a, b *devent) bool {
 	if a.pid == b.pid {
 		return true

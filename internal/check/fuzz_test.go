@@ -2,11 +2,10 @@ package check_test
 
 // Differential fuzzing of the reduction stack: random straight-line
 // micro-programs (2-3 processes, mixed bit/word operations, optional
-// crash exploration) are checked four ways — unreduced reference,
-// static persistent-set POR, source-DPOR, and DPOR with symmetry
-// reduction — and every configuration must reach the reference's
-// verdict (the static heuristic one-sidedly — see the variant table),
-// every reported witness must replay to a real violation on a fresh
+// crash exploration) are checked three ways — unreduced reference,
+// source-DPOR, and DPOR with symmetry reduction — and every
+// configuration must reach the reference's verdict, every reported
+// witness must replay to a real violation on a fresh
 // program instance, and the reductions must stay within the
 // sleep-set bound on visited states. A final pass pins the determinism
 // contract of the parallel DPOR engine: Workers=4 must reproduce the
@@ -48,19 +47,19 @@ type fuzzOp struct {
 // on earlier observations — the interesting case for a dynamic
 // reduction, because independence then varies along the path.
 const (
-	fopBitRead   byte = iota // acc = read bit
-	fopBitWrite              // write bit val&1
-	fopTAS                   // acc = test-and-set
-	fopTAR                   // acc = test-and-reset
-	fopTAF                   // acc = test-and-flip
-	fopFlip                  // flip (no return)
-	fopSkip                  // skip (touch without reading)
-	fopWordRead              // acc = read word
-	fopWordImm               // write word immediate
-	fopWordAcc               // write word from accumulator
-	fopLocal                 // local computation step
-	fopExitIf                // if acc != 0 { output val&3; return }
-	fopKinds                 // count — keep last
+	fopBitRead  byte = iota // acc = read bit
+	fopBitWrite             // write bit val&1
+	fopTAS                  // acc = test-and-set
+	fopTAR                  // acc = test-and-reset
+	fopTAF                  // acc = test-and-flip
+	fopFlip                 // flip (no return)
+	fopSkip                 // skip (touch without reading)
+	fopWordRead             // acc = read word
+	fopWordImm              // write word immediate
+	fopWordAcc              // write word from accumulator
+	fopLocal                // local computation step
+	fopExitIf               // if acc != 0 { output val&3; return }
+	fopKinds                // count — keep last
 )
 
 // fuzzProgram is a decoded micro-program: a tiny shared memory plus one
@@ -242,31 +241,18 @@ func runDPORDifferential(t *testing.T, data []byte) {
 		t.Fatalf("reference witness %v did not replay\nprogram: %s", ref.Violation.Schedule, fp)
 	}
 
-	// complete marks the configurations that must find every violation
-	// the reference finds. The static POR is a documented heuristic
-	// (see the soundness boundary in por.go): its pending-step guards
-	// are tuned to the access patterns of the portfolio algorithms, and
-	// on adversarial random programs it may miss a conflict that is not
-	// yet pending — the fuzzer finds such programs, and one is pinned
-	// in testdata/fuzz as a corpus regression. Its contract here is
-	// one-sided: it must never invent a violation, and every witness it
-	// does report must replay. Source-DPOR computes backtrack sets from
-	// actual conflicts, so for it (with and without symmetry) agreement
-	// with the reference is exact in both directions.
+	// Source-DPOR computes backtrack sets from actual conflicts, so for it
+	// (with and without symmetry) agreement with the reference is exact
+	// in both directions.
 	variants := []struct {
-		name     string
-		complete bool
-		opts     func(o check.Options) check.Options
+		name string
+		opts func(o check.Options) check.Options
 	}{
-		{"static-por", false, func(o check.Options) check.Options {
-			o.POR = true
-			return o
-		}},
-		{"dpor", true, func(o check.Options) check.Options {
+		{"dpor", func(o check.Options) check.Options {
 			o.DPOR = true
 			return o
 		}},
-		{"dpor+sym", true, func(o check.Options) check.Options {
+		{"dpor+sym", func(o check.Options) check.Options {
 			o.DPOR, o.Symmetry = true, true
 			return o
 		}},
@@ -290,11 +276,7 @@ func runDPORDifferential(t *testing.T, data []byte) {
 			t.Errorf("%s reported a violation the reference refutes\nprogram: %s", v.name, fp)
 			continue
 		case res.Violation == nil && ref.Violation != nil:
-			if v.complete {
-				t.Errorf("%s missed the violation the reference finds\nprogram: %s", v.name, fp)
-			} else {
-				t.Logf("%s missed the violation (allowed for the static heuristic)\nprogram: %s", v.name, fp)
-			}
+			t.Errorf("%s missed the violation the reference finds\nprogram: %s", v.name, fp)
 			continue
 		}
 		if res.Violation != nil && !witnessReplays(t, build, prop, opts, res.Violation.Schedule) {
@@ -320,7 +302,7 @@ func runDPORDifferential(t *testing.T, data []byte) {
 
 	// Determinism of the parallel engine: same result, bit for bit, at
 	// Workers=4 — violating and non-violating programs alike.
-	popts := variants[2].opts(base)
+	popts := variants[1].opts(base)
 	popts.Workers = 4
 	par, err := check.Explore(build, prop, popts)
 	if err != nil {

@@ -5,8 +5,8 @@ package check_test
 // exploration with Workers > 1 must report exactly what Workers = 1
 // reports — verdicts, counterexample schedules, visited-state counts,
 // run counts and truncation flags. Only the DPOR engine runs goroutines
-// (its wave pass); the reference and static-POR engines must ignore
-// Workers altogether (see Options.Workers).
+// (its wave pass); the reference engine must ignore Workers altogether
+// (see Options.Workers).
 
 import (
 	"strconv"

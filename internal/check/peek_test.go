@@ -49,8 +49,7 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 	if err := e.core.init(peekBuilder(3), e.maxDepth); err != nil {
 		t.Fatal(err)
 	}
-	e.provider, e.por = newProvider(opts, 3)
-	if err := e.dfs(nil, 0); err != nil {
+	if err := e.dfs(nil); err != nil {
 		t.Fatal(err)
 	}
 	e.core.close()

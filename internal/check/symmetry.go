@@ -196,8 +196,7 @@ func (c *replayCore) remapHistEntry(spec *sim.SymSpec, perm []int, en histEntry)
 
 // canonicalKey is the node's visited-set key: with symmetry, the
 // minimum digest over the permutation group; without (sy == nil, or an
-// unmappable view), the identity digest mix64(base, sleep) — exactly
-// the key the static-POR explorers use.
+// unmappable view), the identity digest mix64(base, sleep).
 func (c *replayCore) canonicalKey(sy *symCanon, base, sleep uint64) uint64 {
 	best := mix64(base, sleep) // == symDigest(identity): stateHash mixes vals then hists in the same order
 	if sy == nil {

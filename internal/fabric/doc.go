@@ -51,7 +51,7 @@
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v3)
+// # Wire format (protocol v4)
 //
 // Frames are 4-byte big-endian length prefixes followed by one JSON
 // object (Msg), at most MaxFrame bytes. JSON keeps the frames
@@ -65,7 +65,7 @@
 // The messages:
 //
 //   - hello (worker → coordinator) carries ProtoVersion; a mismatch is
-//     rejected at handshake, so older workers never see v3 frames;
+//     rejected at handshake, so older workers never see v4 frames;
 //
 //   - job/result (and error) carry whole-entry jobs;
 //
@@ -80,4 +80,8 @@
 //   - bye ends the session.
 //
 // Protocol v3 removed v2's frontier-probe frames (probe/probed).
+// Protocol v4 marks the deletion of the static ample-set reduction:
+// workers ignore its job options, so a v3 coordinator's
+// static-reduction jobs must not reach them, and results dropped the
+// reduction's fallback flag.
 package fabric

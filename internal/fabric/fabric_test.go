@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"sync"
@@ -24,24 +25,18 @@ func fleetRegistry(name string, n int) (check.Builder, check.Property, bool) {
 }
 
 // testJobs is a portfolio slice exercising every job shape: a DPOR entry
-// (sharded runs distribute its waves), static-POR entries (which travel
-// whole even when sharding is on), a PORAuto entry whose reduction is
-// unprofitable (tas hammers one bit, so the worker runs the two-pass
-// fallback), and a broken workload whose violation exercises witness
-// re-verification.
+// (sharded runs distribute its waves), whole reference entries (which
+// travel whole even when sharding is on), and a broken workload whose
+// violation exercises witness re-verification.
 func testJobs() []fabric.Job {
-	base := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true}
-	por := base
-	por.POR = true
-	auto := por
-	auto.PORAuto = true
-	dpor := base
+	ref := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true}
+	dpor := ref
 	dpor.DPOR = true
 	return []fabric.Job{
 		{Name: "mutex/peterson-2p", N: 2, Opts: dpor},
-		{Name: "mutex/tas-lock", N: 2, Opts: auto},
-		{Name: "naming/tas-scan", N: 2, Opts: por},
-		{Name: "broken/racy-mutex", N: 2, Opts: por},
+		{Name: "mutex/tas-lock", N: 2, Opts: ref},
+		{Name: "naming/tas-scan", N: 2, Opts: ref},
+		{Name: "broken/racy-mutex", N: 2, Opts: ref},
 	}
 }
 
@@ -66,8 +61,7 @@ func singleProcess(t *testing.T, jobs []fabric.Job) []check.Result {
 func assertEqual(t *testing.T, name string, want, got check.Result) {
 	t.Helper()
 	if want.States != got.States || want.Runs != got.Runs || want.Truncated != got.Truncated ||
-		want.ReducedNodes != got.ReducedNodes || want.PORDisabled != got.PORDisabled ||
-		want.SymmetryApplied != got.SymmetryApplied {
+		want.ReducedNodes != got.ReducedNodes || want.SymmetryApplied != got.SymmetryApplied {
 		t.Errorf("%s: counters diverge: want %+v, got %+v", name, want, got)
 	}
 	wv, gv := want.Violation, got.Violation
@@ -105,13 +99,41 @@ func (st servedTransport) Serve(addr string) (fabric.Listener, error) {
 	return st.PipeTransport.Serve(addr)
 }
 
+// helloLog is a coordinator log that closes admitted once the event
+// loop has logged n worker hellos ("worker connected" — the line it
+// writes right after counting a worker in Stats.Workers).
+type helloLog struct {
+	mu       sync.Mutex
+	n        int
+	admitted chan struct{}
+}
+
+func (l *helloLog) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("worker connected")) {
+		l.mu.Lock()
+		if l.n--; l.n == 0 {
+			close(l.admitted)
+		}
+		l.mu.Unlock()
+	}
+	return len(p), nil
+}
+
 // coordinate runs a coordinator over the pipe transport with nWorkers
 // standard workers and returns its results. The workers start once the
 // coordinator listens, so none of them misses a short run by sleeping
-// between dial retries.
+// between dial retries, and no worker starts a job before the
+// coordinator has admitted every worker's hello: otherwise a fast job
+// list can complete before the last hello is counted in Stats.Workers.
 func coordinate(t *testing.T, jobs []fabric.Job, nWorkers int, co fabric.CoordOptions) ([]fabric.JobResult, fabric.Stats) {
 	t.Helper()
 	st := servedTransport{fabric.NewPipeTransport(), make(chan struct{})}
+	hellos := &helloLog{n: nWorkers, admitted: make(chan struct{})}
+	co.Log = hellos
+	gatedRegistry := func(name string, n int) (check.Builder, check.Property, bool) {
+		<-hellos.admitted
+		return fleetRegistry(name, n)
+	}
 	type out struct {
 		results []fabric.JobResult
 		stats   fabric.Stats
@@ -128,7 +150,7 @@ func coordinate(t *testing.T, jobs []fabric.Job, nWorkers int, co fabric.CoordOp
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := fabric.Work(st.PipeTransport, "coord", fleetRegistry, nil); err != nil {
+			if err := fabric.Work(st.PipeTransport, "coord", gatedRegistry, nil); err != nil {
 				t.Errorf("worker: %v", err)
 			}
 		}()

@@ -13,8 +13,12 @@ import (
 // ProtoVersion is the wire protocol version; hello frames carry it and
 // the coordinator rejects mismatched workers instead of guessing.
 // Version 3 removed frontier probing (the probe/probed frames): sharded
-// jobs travel only as DPOR waves.
-const ProtoVersion = 3
+// jobs travel only as DPOR waves. Version 4 follows the deletion of the
+// static ample-set reduction: its job options are ignored, so a v3
+// coordinator's static-reduction jobs would silently run as the
+// unreduced reference on a v4 worker, and results no longer carry the
+// reduction's fallback flag.
+const ProtoVersion = 4
 
 // MaxFrame bounds a single frame's JSON payload. A frame announcing a
 // larger length is a protocol violation and drops the connection — the
@@ -147,7 +151,6 @@ type WireResult struct {
 	Runs            int            `json:"runs"`
 	Truncated       bool           `json:"trunc,omitempty"`
 	ReducedNodes    int            `json:"reduced,omitempty"`
-	PORDisabled     bool           `json:"porDisabled,omitempty"`
 	SymmetryApplied bool           `json:"sym,omitempty"`
 	Vio             *WireViolation `json:"vio,omitempty"`
 }
@@ -155,16 +158,16 @@ type WireResult struct {
 func toWireResult(r check.Result) *WireResult {
 	return &WireResult{
 		States: r.States, Runs: r.Runs, Truncated: r.Truncated,
-		ReducedNodes: r.ReducedNodes, PORDisabled: r.PORDisabled,
-		SymmetryApplied: r.SymmetryApplied, Vio: toWireViolation(r.Violation),
+		ReducedNodes: r.ReducedNodes, SymmetryApplied: r.SymmetryApplied,
+		Vio: toWireViolation(r.Violation),
 	}
 }
 
 func (r *WireResult) toCheck() check.Result {
 	return check.Result{
 		States: r.States, Runs: r.Runs, Truncated: r.Truncated,
-		ReducedNodes: r.ReducedNodes, PORDisabled: r.PORDisabled,
-		SymmetryApplied: r.SymmetryApplied, Violation: r.Vio.toCheck(),
+		ReducedNodes: r.ReducedNodes, SymmetryApplied: r.SymmetryApplied,
+		Violation: r.Vio.toCheck(),
 	}
 }
 

@@ -1,13 +1,14 @@
 package opset
 
-// This file is the independence oracle of the partial-order-reduction
-// layer: a decision procedure for whether two pending atomic accesses
-// commute. Two accesses are independent when executing them in either
-// order from any memory state yields the same final memory AND the same
-// value returned to each access. The model checker prunes interleavings
-// that only reorder independent accesses (internal/check, Options.POR);
-// the simulator is not involved — independence is a property of the
-// operations and their footprints alone.
+// This file is the independence oracle of the model checker's DPOR race
+// analysis and sleep sets: a decision procedure for whether two pending
+// atomic accesses commute. Two accesses are independent when executing
+// them in either order from any memory state yields the same final
+// memory AND the same value returned to each access. The model checker
+// prunes interleavings that only reorder independent accesses
+// (internal/check, Options.DPOR); the simulator is not involved —
+// independence is a property of the operations and their footprints
+// alone.
 //
 // The relation is exact for accesses on the same register view (a
 // table over all operation pairs, computed at init time by brute force

@@ -51,7 +51,7 @@ import "fmt"
 // The declarations are trusted the same way the rest of the reduction
 // stack is kept honest: differentially. The check package's symmetry
 // tests prove digest invariance under every permutation for each
-// declaring algorithm, and cfccheck's three-way -pordiff gate re-proves
+// declaring algorithm, and cfccheck's -pordiff gate re-proves
 // verdict agreement against the unreduced reference portfolio-wide.
 
 // PidEnc says how a register value encodes a process id.

@@ -14,14 +14,13 @@
 # the frozen seed baseline (the goroutine-engine numbers before the
 # direct-execution engine landed), a check_suite section timing the
 # model-checker's exhaustive tests plus a multicore honesty flag (a
-# speedup measured on one core is coordination overhead, not speedup), por and
-# dpor sections recording the three-way reduction differential
-# (cfccheck -pordiff): per portfolio entry the state counts, wall-clock
-# and reduction ratios of the static ample-set POR and of source-DPOR
-# with symmetry against the unreduced reference, with agreeing verdicts
-# enforced — a fleet section with the fixed-seed smoke fleet's
-# throughput (runs/sec, events/sec from cmd/cfcfleet's FLEET-SUMMARY
-# line), a fabric section timing the default n=2 portfolio single-process
+# speedup measured on one core is coordination overhead, not speedup), a
+# dpor section recording the reduction differential (cfccheck -pordiff):
+# per portfolio entry the state counts, wall-clock and reduction ratio of
+# source-DPOR with symmetry against the unreduced reference, with
+# agreeing verdicts enforced — a fleet section with the fixed-seed
+# smoke fleet's throughput (runs/sec, events/sec from cmd/cfcfleet's
+# FLEET-SUMMARY line), a fabric section timing the default n=2 portfolio single-process
 # versus a coordinator plus two local worker processes over loopback TCP
 # (jobs/sec and wall-clock from cfccheck -serve's FABRIC-SUMMARY line,
 # with the outputs diffed for equality first) — plus a wave leg running
@@ -69,7 +68,7 @@ echo "check explorations: ${CHECK_SERIAL_MS}ms (cpus: ${CPUS})"
 
 # Partial-order-reduction differential over the default portfolio: the
 # gate fails the whole bench run if any verdict disagrees (set -e), and
-# the per-entry lines become the record's por section.
+# the per-entry lines become the record's dpor section.
 go run ./cmd/cfccheck -pordiff | tee "$PORRAW"
 
 # Fleet throughput: a fixed-seed randomized fleet over the default
@@ -214,28 +213,9 @@ go test -run '^$' -bench 'BenchmarkSim' -benchtime "$BENCHTIME" . | tee "$RAW"
         "$(sink_val n)" "$(sink_val runs)" "$(sink_val events)" \
         "$(sink_val runs_per_s)" "$(sink_val events_per_s)" \
         "$(sink_val heap_mb)" "$(sink_val max_rss_mb)"
-    # POR differential: states and wall-clock with the reduction on and
-    # off per portfolio entry, from cfccheck -pordiff.
-    awk '
-    function val(key,    i) {
-        for (i = 2; i <= NF; i++) {
-            if (index($i, key "=") == 1) return substr($i, length(key) + 2)
-        }
-        return ""
-    }
-    BEGIN { printf "  \"por\": {\"jobs\": [\n"; first = 1 }
-    /^PORDIFF / {
-        if (!first) printf ",\n"
-        first = 0
-        printf "    {\"name\": \"%s\", \"verdict\": \"%s\", \"por_states\": %s, \"ref_states\": %s, \"ratio\": %s, \"por_ms\": %s, \"ref_ms\": %s, \"reduced_nodes\": %s}", \
-            val("name"), val("verdict"), val("por_states"), val("ref_states"), val("ratio"), val("por_ms"), val("ref_ms"), val("reduced_nodes")
-    }
-    /^PORDIFF-SUMMARY / { max = val("max_ratio") }
-    END { printf "\n  ], \"max_ratio\": %s},\n", (max == "" ? "0" : max) }
-    ' "$PORRAW"
     # DPOR differential: source-DPOR (+symmetry where declared) states,
-    # runs and wall-clock against the same reference, from the dpor_*
-    # keys of the same cfccheck -pordiff lines.
+    # runs and wall-clock against the unreduced reference, from the
+    # cfccheck -pordiff lines.
     awk '
     function val(key,    i) {
         for (i = 2; i <= NF; i++) {

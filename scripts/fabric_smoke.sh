@@ -6,7 +6,7 @@
 # Three passes:
 #   1. whole jobs          — the default n=2 portfolio (DPOR engines and
 #      all), fanned out one portfolio entry per job;
-#   2. non-DPOR, sharded   — the non-DPOR portfolio (-dpor=false) with
+#   2. reference, sharded  — the reference portfolio (-dpor=false) with
 #      -shards 2: only DPOR jobs split, so every job still travels whole;
 #   3. wave sharding       — the full portfolio with -shards 2, putting
 #      the DPOR entries on the distributed wave path (pure expansion at
@@ -56,10 +56,10 @@ run_pass() { # run_pass <label> <extra flags...>
 # Pass 1: whole portfolio entries as jobs (includes the DPOR engines).
 run_pass "whole jobs, 2 workers"
 
-# Pass 2: the static-POR and reference engines with sharding on. Only
-# DPOR jobs split into waves, so these jobs must travel whole and still
-# match the single process.
-run_pass "non-DPOR portfolio (-dpor=false -shards 2), 2 workers" -dpor=false -shards 2
+# Pass 2: the reference engine with sharding on. Only DPOR jobs split
+# into waves, so these jobs must travel whole and still match the single
+# process.
+run_pass "reference portfolio (-dpor=false -shards 2), 2 workers" -dpor=false -shards 2
 
 # Pass 3: wave sharding. The full portfolio (DPOR engines included) with
 # -shards 2 routes DPOR jobs through the distributed wave engine; the
