@@ -48,7 +48,10 @@
 // phase-mark/output steps are property-visible — the safety properties
 // observe their relative order — so two visible steps never commute.
 // Sleep sets remove the remaining permutational duplicates; crash
-// branches are never pruned.
+// branches are never pruned. Because accesses to different cells always
+// commute, the race analysis indexes the path by dependence class — each
+// cell's accesses, and the visible steps — and tests a step only against
+// its own class.
 //
 // Reduced state counts are NOT comparable to reference counts: the
 // reduced exploration skips the interior states of commuting diamonds
@@ -82,8 +85,10 @@
 // tree level is expanded by a pass of pure per-node work, then a serial
 // commit pass makes every order-sensitive decision (visited arbitration,
 // counters, backtrack joins, violation selection) in deterministic task
-// order. Options.Workers > 1 runs the expansion pass on that many
-// goroutines, each with a private program instance and live session;
+// order. The calling goroutine runs the expansion pass itself, so a
+// one-worker exploration starts no goroutine per level;
+// Options.Workers > 1 adds Workers-1 goroutines pulling from the same
+// task index, each with a private program instance and live session;
 // results — including truncated ones and counterexamples — are
 // bit-identical at any Workers count by construction. The same split
 // lets the fabric (internal/fabric) run the expansion pass in other

@@ -37,17 +37,18 @@ import (
 // synchronised waves. Each wave is split in two:
 //
 //   - The stage pass visits every task of the wave (in-process workers
-//     pull from a shared index; the fabric fans the same pass out to
-//     WaveProbers in other processes — see wave.go): replay its schedule
-//     (Session.Seek, shared-prefix fast path), race-check the arriving
-//     step against the path, check the property, and — for nodes that
-//     may expand — compute the visited key, choose the first child batch
-//     (the smallest awake pid whose step progresses under spin collapse,
-//     the cycle proviso of progresses, else every awake pid), and
-//     precompute the compensation ghosts a revisit would need. The pass is PURE: a
-//     task's WaveReport is a function of its schedule and inherited
-//     sleep mask alone. Race-initials masks for ancestors come back as
-//     (depth, mask) pairs instead of being written anywhere.
+//     pull from a shared index, worker 0 being the calling goroutine, so a
+//     one-worker pass spawns no goroutine; the fabric fans the same pass
+//     out to WaveProbers in other processes — see wave.go): replay its
+//     schedule (Session.Seek, shared-prefix fast path), race-check the
+//     arriving step against the path, check the property, and — for nodes
+//     that may expand — compute the visited key, choose the first child
+//     batch (the smallest awake pid whose step progresses under spin
+//     collapse, the cycle proviso of progresses, else every awake pid),
+//     and precompute the compensation ghosts a revisit would need. The
+//     pass is PURE: a task's WaveReport is a function of its schedule and
+//     inherited sleep mask alone. Race-initials masks for ancestors come
+//     back as (depth, mask) pairs instead of being written anywhere.
 //
 //   - The commit pass then runs serially over the wave: first every
 //     report's masks are registered at the ancestor nodes (they form a
@@ -120,6 +121,18 @@ import (
 // self-recorded termination mark (KindMark, PhaseDone) consumes no
 // scheduling decision and no property observes it; syncPath skips it.
 //
+// So a step can depend on another process's step only within its
+// dependence class: the accesses to its own cell (opset.Independent
+// calls accesses to different cells independent) or the visible steps;
+// crashes and Local steps have no class. syncPath indexes the path by
+// class — the ascending positions of each cell's accesses and of the
+// visible entries, plus each entry's previous same-pid position — and
+// clockOf and the compensation ghosts walk only the class of the step,
+// in ascending order up to its position. Every skipped entry is one the
+// full-path scan would have found independent and passed over without
+// joining a clock or recording a race, so the clocks, races and reports
+// are the full scan's (dpor_class_test.go holds the two to equality).
+//
 // # The stateful-DPOR caveat, and the compensation
 //
 // Classic source-DPOR explores a tree; this engine also prunes visited
@@ -128,8 +141,8 @@ import (
 // have raced its steps against the *current* path, so its backtrack
 // additions to current-path ancestors would be lost. The engine
 // compensates at every visited hit: the hit state's pending steps, and
-// one step per recorded access shape in each live process's history
-// (the algorithms under check revisit their cells: spin loops,
+// one step per distinct recorded access shape in each live process's
+// history (the algorithms under check revisit their cells: spin loops,
 // validation reads), are race-checked against the path as if they
 // were about to execute, and their additions applied. This is an
 // approximation, not a proof: a pruned subtree could in principle
@@ -188,21 +201,28 @@ type devent struct {
 	vis  bool      // property-visible: phase mark or output
 	acc  opset.Acc // valid for KindAccess
 	seq  int32     // 1-based index among this pid's decisions
+	prev int32     // path position of this pid's previous entry, -1 if none
 	clk  []int32   // vector clock (len = nprocs), aliases dscratch.clkbuf
 }
 
 // dscratch is one worker's path-analysis scratch: the decision entries
 // of the schedule currently being chased, with vector clocks reused
-// across the shared prefix of consecutive tasks.
+// across the shared prefix of consecutive tasks, and the dependence-class
+// index over those entries (see class).
 type dscratch struct {
 	ents     []devent
 	sched    []int
 	clkbuf   []int32
 	clkValid int
 	seqs     []int32
+	last     []int32   // per pid: path position of its last entry, -1 if none
+	cells    [][]int32 // per cell: ascending positions of its access entries
+	touched  []int32   // cells whose position list is non-empty
+	visible  []int32   // ascending positions of the property-visible entries
 	races    []int
 	cand     []int
 	ghostClk []int32
+	ghosts   []opset.Acc // accesses already scanned as one process's ghosts
 }
 
 func newDScratch(maxDepth, nprocs int) *dscratch {
@@ -210,8 +230,30 @@ func newDScratch(maxDepth, nprocs int) *dscratch {
 		ents:     make([]devent, maxDepth+1),
 		clkbuf:   make([]int32, (maxDepth+1)*nprocs),
 		seqs:     make([]int32, nprocs),
+		last:     make([]int32, nprocs),
 		ghostClk: make([]int32, nprocs),
 	}
+}
+
+// class returns the ascending path positions of the entries that can be
+// dependent on d without sharing its pid: the same cell's accesses for
+// an access, the property-visible entries for a visible step, and none
+// for a crash or a local step. Every entry outside it is independent of
+// d under deventsDependent — opset.Independent calls accesses to
+// different cells independent, and the simulator only issues valid
+// operations — so a scan over the class sees exactly the dependent
+// entries a scan over the whole path would, in the same order.
+func (sc *dscratch) class(d *devent) []int32 {
+	switch {
+	case d.kind == uint8(sim.KindAccess):
+		if int(d.acc.Cell) < len(sc.cells) {
+			return sc.cells[d.acc.Cell]
+		}
+		return nil
+	case d.vis:
+		return sc.visible
+	}
+	return nil
 }
 
 // dconfig is the stage pass's configuration: everything a task's
@@ -309,7 +351,23 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 	for i := range scs {
 		scs[i] = newDScratch(maxDepth, nprocs)
 	}
-	var stages []dstage
+	// Stage pass: workers pull tasks from a shared index. Order of
+	// processing is irrelevant by design (see the file comment). Worker 0
+	// is the calling goroutine, so a one-worker pass spawns nothing.
+	var (
+		stages []dstage
+		idx    atomic.Int64
+		wg     sync.WaitGroup
+	)
+	work := func(id int) {
+		for !e.cancel.Load() {
+			i := int(idx.Add(1)) - 1
+			if i >= len(stages) {
+				return
+			}
+			e.runStage(id, cores[id], scs[id], &stages[i])
+		}
+	}
 	for len(e.wave) > 0 {
 		if cap(stages) < len(e.wave) {
 			stages = make([]dstage, len(e.wave))
@@ -318,23 +376,15 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 		for i := range stages {
 			stages[i] = dstage{t: e.wave[i]}
 		}
-		// Stage pass: workers pull tasks from a shared index. Order of
-		// processing is irrelevant by design (see the file comment).
-		var idx atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < min(workers, len(stages)); w++ {
+		idx.Store(0)
+		for w := 1; w < min(workers, len(stages)); w++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				for !e.cancel.Load() {
-					i := int(idx.Add(1)) - 1
-					if i >= len(stages) {
-						return
-					}
-					e.runStage(id, cores[id], scs[id], &stages[i])
-				}
+				work(id)
 			}(w)
 		}
+		work(0)
 		wg.Wait()
 		if e.firstErr != nil {
 			return Result{}, e.firstErr
@@ -703,10 +753,19 @@ func (cfg *dconfig) syncPath(sc *dscratch, tr *sim.Trace, sched []int) error {
 	// Try/CS/Exit/Remainder marks, outputs are set-valued, and
 	// ExpectTermination is a predicate on the terminal state), and the
 	// termination mark is never a pending step.
+	//
+	// The dependence-class index is rebuilt alongside; only the cells the
+	// previous task touched need resetting.
 	n := cfg.nprocs
 	for i := range sc.seqs {
 		sc.seqs[i] = 0
+		sc.last[i] = -1
 	}
+	for _, c := range sc.touched {
+		sc.cells[c] = sc.cells[c][:0]
+	}
+	sc.touched = sc.touched[:0]
+	sc.visible = sc.visible[:0]
 	idx := 0
 	for _, ev := range tr.Events {
 		if ev.Kind == sim.KindMark && ev.Phase == sim.PhaseDone {
@@ -716,14 +775,23 @@ func (cfg *dconfig) syncPath(sc *dscratch, tr *sim.Trace, sched []int) error {
 			return fmt.Errorf("check: internal error: %d decision events for schedule of %d", idx+1, m)
 		}
 		d := &sc.ents[idx]
-		*d = devent{pid: int32(ev.PID), kind: uint8(ev.Kind), clk: sc.clkbuf[idx*n : (idx+1)*n]}
+		*d = devent{pid: int32(ev.PID), kind: uint8(ev.Kind), prev: sc.last[ev.PID], clk: sc.clkbuf[idx*n : (idx+1)*n]}
 		sc.seqs[ev.PID]++
 		d.seq = sc.seqs[ev.PID]
+		sc.last[ev.PID] = int32(idx)
 		switch ev.Kind {
 		case sim.KindAccess:
 			d.acc = opset.Acc{Op: ev.Op, Cell: ev.Cell, Shift: ev.Shift, Width: ev.Width, Arg: ev.Arg}
+			if int(ev.Cell) >= len(sc.cells) {
+				sc.cells = append(sc.cells, make([][]int32, int(ev.Cell)+1-len(sc.cells))...)
+			}
+			if len(sc.cells[ev.Cell]) == 0 {
+				sc.touched = append(sc.touched, ev.Cell)
+			}
+			sc.cells[ev.Cell] = append(sc.cells[ev.Cell], int32(idx))
 		case sim.KindMark, sim.KindOutput:
 			d.vis = true
+			sc.visible = append(sc.visible, int32(idx))
 		}
 		idx++
 	}
@@ -748,23 +816,24 @@ func (cfg *dconfig) syncPath(sc *dscratch, tr *sim.Trace, sched []int) error {
 // but NOT ordered before j by the accumulating happens-before closure —
 // the races — are appended to it (the closure shields: once a
 // dependent entry's clock is joined, everything it dominates is
-// ordered).
+// ordered). Only j's dependence class is scanned, in ascending order.
 func clockOf(sc *dscratch, j int, races *[]int) {
 	cur := &sc.ents[j]
-	clear(cur.clk)
-	for i := j - 1; i >= 0; i-- {
-		if sc.ents[i].pid == cur.pid {
-			copy(cur.clk, sc.ents[i].clk)
+	if cur.prev >= 0 {
+		copy(cur.clk, sc.ents[cur.prev].clk)
+	} else {
+		clear(cur.clk)
+	}
+	for _, i := range sc.class(cur) {
+		if int(i) >= j {
 			break
 		}
-	}
-	for i := 0; i < j; i++ {
 		f := &sc.ents[i]
 		if f.pid == cur.pid || !deventsDependent(f, cur) {
 			continue
 		}
 		if races != nil && f.seq > cur.clk[f.pid] {
-			*races = append(*races, i)
+			*races = append(*races, int(i))
 		}
 		joinClk(cur.clk, f.clk)
 	}
@@ -853,7 +922,10 @@ func (cfg *dconfig) addBacktrack(sc *dscratch, j, last int, cur *devent, sink *[
 	if initials == 0 {
 		return
 	}
-	*sink = append(*sink, DepthMask{Depth: j, Mask: initials})
+	// A repeat would only cost wire bytes: registerMask collapses it.
+	if dm := (DepthMask{Depth: j, Mask: initials}); !slices.Contains(*sink, dm) {
+		*sink = append(*sink, dm)
+	}
 }
 
 // registerMask records one race-initials set at n for its next join to
@@ -874,65 +946,83 @@ func registerMask(n *dnode, initials uint64) {
 // comment): the hit state's pending steps, plus one hypothetical step
 // per recorded access of each live process, are race-checked against
 // the current path, the resulting masks buffered into sink (the commit
-// pass applies them only if the node really is pruned). Must run right
-// after stateHash (c.hist, c.vals valid) with the session at the node.
+// pass applies them only if the node really is pruned). Repeated ghosts
+// are scanned once. Must run right after stateHash (c.hist, c.vals
+// valid) with the session at the node.
 func (cfg *dconfig) compensate(core *replayCore, sc *dscratch, m int, live []int, sink *[]DepthMask) {
 	if m == 0 {
 		return
 	}
-	for _, po := range core.pendingOps() {
+	pend := core.pendingOps()
+	for _, po := range pend {
 		g := devent{pid: int32(po.PID), kind: uint8(po.Kind)}
 		switch po.Kind {
 		case sim.KindAccess:
-			g.acc = opset.Acc{Op: po.Op, Cell: po.Cell, Shift: po.Shift, Width: po.Width, Arg: po.Arg}
+			g.acc = po.Acc()
 		case sim.KindMark, sim.KindOutput:
 			g.vis = true
 		}
 		cfg.ghostScan(sc, m, &g, sink)
 	}
+	// A ghost's races depend only on its pid and step, so each process's
+	// history ghosts skip the accesses already scanned for it: its
+	// pending access and its earlier history entries.
 	for _, q := range live {
+		sc.ghosts = sc.ghosts[:0]
+		for _, po := range pend {
+			if po.PID == q && po.Kind == sim.KindAccess {
+				sc.ghosts = append(sc.ghosts, po.Acc())
+			}
+		}
 		for _, en := range core.hist[q] {
 			if en.kind != uint8(sim.KindAccess) {
 				continue
 			}
-			g := devent{
-				pid:  int32(q),
-				kind: en.kind,
-				acc:  opset.Acc{Op: opset.Op(en.op), Cell: en.cell, Shift: en.shift, Width: en.width, Arg: en.aux},
+			acc := opset.Acc{Op: opset.Op(en.op), Cell: en.cell, Shift: en.shift, Width: en.width, Arg: en.aux}
+			if slices.Contains(sc.ghosts, acc) {
+				continue
 			}
+			sc.ghosts = append(sc.ghosts, acc)
+			g := devent{pid: int32(q), kind: en.kind, acc: acc}
 			cfg.ghostScan(sc, m, &g, sink)
 		}
 	}
 }
 
 // ghostScan race-checks a hypothetical next step of pid g.pid at path
-// position m against the whole path, buffering backtrack additions for
-// its races into sink.
+// position m against the path, buffering backtrack additions for its
+// races into sink.
 func (cfg *dconfig) ghostScan(sc *dscratch, m int, g *devent, sink *[]DepthMask) {
+	ghostRaces(sc, g)
+	for _, j := range sc.races {
+		cfg.addBacktrack(sc, j, m, g, sink)
+	}
+}
+
+// ghostRaces clocks the hypothetical step g right after the whole synced
+// path (the clock lands in sc.ghostClk) and leaves its races in
+// sc.races, scanning only g's dependence class — clockOf's computation
+// for a step that is not on the path.
+func ghostRaces(sc *dscratch, g *devent) {
 	g.clk = sc.ghostClk
-	clear(g.clk)
-	for i := m - 1; i >= 0; i-- {
-		if sc.ents[i].pid == g.pid {
-			copy(g.clk, sc.ents[i].clk)
-			break
-		}
+	if p := sc.last[g.pid]; p >= 0 {
+		copy(g.clk, sc.ents[p].clk)
+	} else {
+		clear(g.clk)
 	}
 	g.seq = g.clk[g.pid] + 1
 	sc.races = sc.races[:0]
-	for i := 0; i < m; i++ {
+	for _, i := range sc.class(g) {
 		f := &sc.ents[i]
 		if f.pid == g.pid || !deventsDependent(f, g) {
 			continue
 		}
 		if f.seq > g.clk[f.pid] {
-			sc.races = append(sc.races, i)
+			sc.races = append(sc.races, int(i))
 		}
 		joinClk(g.clk, f.clk)
 	}
 	g.clk[g.pid] = g.seq
-	for _, j := range sc.races {
-		cfg.addBacktrack(sc, j, m, g, sink)
-	}
 }
 
 // deventsDependent is the dependence relation over executed (or

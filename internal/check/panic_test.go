@@ -15,8 +15,9 @@ import (
 
 // TestExplorerContainsBodyPanic explores a program whose body panics on
 // a reachable interleaving (pid 1 observes pid 0's write) and requires
-// Explore to return an error naming the schedule prefix — on both the
-// serial explorer and the DPOR engine's parallel wave pass.
+// Explore to return an error naming the schedule prefix — on the serial
+// explorer, the DPOR engine's parallel wave pass, and its one-worker
+// pass, which runs the stage on the calling goroutine.
 func TestExplorerContainsBodyPanic(t *testing.T) {
 	build := func() (*sim.Memory, []sim.ProcFunc, error) {
 		mem := sim.NewMemory(opset.AtomicRegisters)
@@ -34,6 +35,7 @@ func TestExplorerContainsBodyPanic(t *testing.T) {
 	for _, opts := range []check.Options{
 		{MaxDepth: 16},
 		{MaxDepth: 16, DPOR: true, Workers: 4},
+		{MaxDepth: 16, DPOR: true, Workers: 1},
 	} {
 		_, err := check.Explore(build, trivialProp, opts)
 		if err == nil {

@@ -69,11 +69,6 @@ const (
 	statusCrashed
 )
 
-// stateAt positions the live session at the given schedule — extending it
-// in place when the current decision stack is a prefix, replaying from
-// the root otherwise — and returns the trace plus the set of processes
-// that are still live (can be scheduled). The trace aliases the session:
-// it is valid only until the session advances or is replaced.
 // seekCost reports how many events positioning the live session at
 // schedule would replay: the schedule minus the session's depth when the
 // session's decision stack is a prefix of the target (Session.Seek then
@@ -95,6 +90,11 @@ func (c *replayCore) seekCost(schedule []int) int {
 	return len(schedule) - len(dec)
 }
 
+// stateAt positions the live session at the given schedule — extending it
+// in place when the current decision stack is a prefix, replaying from
+// the root otherwise — and returns the trace plus the set of processes
+// that are still live (can be scheduled). The trace aliases the session:
+// it is valid only until the session advances or is replaced.
 func (c *replayCore) stateAt(schedule []int) (*sim.Trace, []int, error) {
 	if c.sess == nil {
 		sess, err := sim.StartSession(sim.Config{
